@@ -35,9 +35,7 @@ from .errors import (
 )
 from .modular_schur import TransitionMatrix, modular_schur_expansion, transition_matrix
 from .oracle import (
-    KostkaMatrix,
     MonomialVector,
-    kostka_matrix,
     kostka_number,
     monomial_to_schur,
     petrie_monomial_vector,

@@ -5,9 +5,10 @@ verify-liu-polo.  JSON output wraps each result in an envelope
 {command, params, result, format_version}.  The PETRIE_FORMAT environment
 variable ("json" or "text") picks the default rendering.
 
-Exit codes: 0 ok, 2 bad arguments, 3 verification mismatch or evaluator
-disagreement, 4 witness requested in the signed-multiplicity-free region,
-5 sweep/classify disagreement with the closed form.
+Exit codes: 0 ok, 2 bad arguments, 3 verification mismatch, evaluator
+disagreement or a failed internal invariant (a defect), 4 witness requested
+in the signed-multiplicity-free region, 5 sweep/classify disagreement with
+the closed form.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import sys
 from typing import Any
 
 from . import abacus, modular_schur, oracle, schur_ring
-from .errors import PetrieError
+from .errors import InternalInvariantFailure, PetrieError
 from .partitions import format_partition, parse_partition
 from .petrie_numbers import pet_det, pet_grinberg, pet_rimhook
 
@@ -243,6 +244,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         return _fail("sweep bounds must be >= 1", EXIT_BAD_ARGS)
     if args.jobs < 1:
         return _fail("--jobs must be >= 1", EXIT_BAD_ARGS)
+    if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
+        return _fail(f"--out directory does not exist: {args.out}", EXIT_BAD_ARGS)
     report = schur_ring.sweep_smf(args.k_max, args.m_max, args.n_max, jobs=args.jobs)
     params = {
         "k_max": args.k_max,
@@ -396,6 +399,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except InternalInvariantFailure as exc:
+        return _fail(f"{exc} (defect)", EXIT_VERIFY_MISMATCH)
     except PetrieError as exc:
         return _fail(str(exc), EXIT_BAD_ARGS)
 

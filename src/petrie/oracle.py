@@ -1,18 +1,21 @@
 """Brute-force verification path through exact polynomial arithmetic.
 
-Symmetric functions of degree d are expanded as honest polynomials in d
-variables (the minimum that determines them), multiplied term by term, and
-read back off in the monomial basis; monomial vectors are converted to the
-Schur basis by back-substitution against Kostka numbers.  None of the
-algorithms here touch the determinant, gamma, or rim-hook evaluators they
-are used to check: being slow and independent is the point.
+Symmetric functions are held by their monomial-basis coefficients.  A
+product is read off monomial by monomial: the coefficient of x^mu in f * g
+is the sum, over every way to split the exponent vector mu into alpha plus
+mu - alpha, of f's coefficient on x^alpha times g's on x^(mu - alpha).
+Only the partition-shaped monomials x^mu are computed, since they determine
+the symmetric product.  Monomial vectors are converted to the Schur basis
+by back-substitution against Kostka numbers.  None of the algorithms here
+touch the determinant, gamma, or rim-hook evaluators they are used to
+check: being plain and independent is the point.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import groupby
+from math import factorial, prod
 from typing import Iterator, Mapping
 
 from .partitions import Partition, as_partition, dominates, partitions_of
@@ -156,32 +159,6 @@ def kostka_number(shape: Partition, content: Partition) -> int:
     )
 
 
-@dataclass(frozen=True)
-class KostkaMatrix:
-    """All nonzero Kostka numbers of one degree, keyed (shape, content).
-
-    Unitriangular for the dominance order: the (mu, mu) entry is 1 and
-    (mu, lam) vanishes unless mu dominates lam.
-    """
-
-    degree: int
-    entries: dict
-
-    def entry(self, shape: Partition, content: Partition) -> int:
-        return self.entries.get((shape, content), 0)
-
-
-def kostka_matrix(degree: int) -> KostkaMatrix:
-    shapes = partitions_of(degree)
-    entries = {}
-    for shape in shapes:
-        for content in shapes:
-            value = kostka_number(shape, content)
-            if value:
-                entries[(shape, content)] = value
-    return KostkaMatrix(degree=degree, entries=entries)
-
-
 def monomial_to_schur(v: MonomialVector) -> SchurExpansion:
     """Invert the unitriangular monomial expansion of Schur functions.
 
@@ -200,81 +177,61 @@ def monomial_to_schur(v: MonomialVector) -> SchurExpansion:
     return SchurExpansion(degree, out)
 
 
-@lru_cache(maxsize=None)
-def _orbit_keys(lam: Partition, nvars: int, bits: int) -> tuple[int, ...]:
-    """Packed exponent keys of every distinct arrangement of ``lam`` over
-    ``nvars`` variables; exponent of variable i sits at bit offset bits*i."""
-    if len(lam) > nvars:
-        return ()
-    groups = []
-    for part in lam:
-        if groups and groups[-1][0] == part:
-            groups[-1][1] += 1
-        else:
-            groups.append([part, 1])
+def _run_lengths(seq) -> list[int]:
+    return [len(list(run)) for _, run in groupby(seq)]
 
-    def rec(idx: int, positions: tuple[int, ...]) -> Iterator[int]:
-        if idx == len(groups):
-            yield 0
+
+def _splits(mu: Partition, size: int) -> Iterator[tuple[Partition, Partition, int]]:
+    """Split the monomial x^mu as x^alpha * x^(mu - alpha) with |alpha| = size.
+
+    Yields (sort(alpha), sort(mu - alpha), count) over the exponent vectors
+    0 <= alpha <= mu.  Vectors that differ only by permuting positions where
+    mu has equal parts give the same pair, so only the one weakly decreasing
+    on each run of equal parts is visited, and ``count`` is the number of
+    vectors it stands for.
+    """
+    room = [0] * (len(mu) + 1)
+    for i in range(len(mu) - 1, -1, -1):
+        room[i] = room[i + 1] + mu[i]
+    orderings = prod(map(factorial, _run_lengths(mu)))
+
+    def rec(i: int, left: int, alpha: list[int]):
+        if i == len(mu):
+            beta = [part - e for part, e in zip(mu, alpha)]
+            yield (
+                tuple(sorted((e for e in alpha if e), reverse=True)),
+                tuple(sorted((e for e in beta if e), reverse=True)),
+                orderings // prod(map(factorial, _run_lengths(zip(mu, alpha)))),
+            )
             return
-        value, count = groups[idx]
-        for chosen in combinations(range(len(positions)), count):
-            base = sum(value << (bits * positions[i]) for i in chosen)
-            picked = set(chosen)
-            rest = tuple(positions[i] for i in range(len(positions)) if i not in picked)
-            for tail in rec(idx + 1, rest):
-                yield base + tail
+        top = min(mu[i], left)
+        if i and mu[i] == mu[i - 1]:
+            top = min(top, alpha[-1])
+        for e in range(top, max(0, left - room[i + 1]) - 1, -1):
+            yield from rec(i + 1, left - e, alpha + [e])
 
-    return tuple(rec(0, tuple(range(nvars))))
-
-
-def _expand(v: MonomialVector, nvars: int, bits: int) -> dict[int, int]:
-    """Write ``v`` out as an actual polynomial, one packed key per monomial."""
-    poly: dict[int, int] = {}
-    for lam, coeff in v.items():
-        for key in _orbit_keys(lam, nvars, bits):
-            poly[key] = coeff
-    return poly
+    yield from rec(0, size, [])
 
 
 def poly_multiply_extract(f: MonomialVector, g: MonomialVector) -> MonomialVector:
-    """Multiply two symmetric functions as honest polynomials.
+    """Monomial-basis coefficients of the product f * g.
 
-    Both factors are expanded in d = deg(f) + deg(g) variables, multiplied
-    term by term, and the product's monomial-basis coefficients are read off
-    the weakly decreasing exponent vectors.  Coefficients are exact Python
-    integers throughout, so the arithmetic cannot overflow.
+    The product is symmetric, so it is determined by its coefficients on the
+    monomials x^mu with mu a partition of d = deg(f) + deg(g).  Each one is
+    read off directly: [x^mu](f g) is the sum of f[sort(alpha)] *
+    g[sort(mu - alpha)] over the exponent vectors 0 <= alpha <= mu with
+    |alpha| = deg(f), where f[nu] is f's coefficient on m_nu.  Coefficients
+    are exact Python integers throughout, so the arithmetic cannot overflow.
     """
     degree = f.degree + g.degree
-    nvars = degree
-    bits = max(1, degree.bit_length())
-    poly_f = _expand(f, nvars, bits)
-    poly_g = _expand(g, nvars, bits)
-    if len(poly_f) > len(poly_g):
-        poly_f, poly_g = poly_g, poly_f
-    product: dict[int, int] = {}
-    get = product.get
-    for ka, ca in poly_f.items():
-        for kb, cb in poly_g.items():
-            key = ka + kb
-            product[key] = get(key, 0) + ca * cb
-
-    mask = (1 << bits) - 1
+    f_coeffs, g_coeffs = dict(f.items()), dict(g.items())
     coeffs: dict[Partition, int] = {}
-    for key, coeff in product.items():
-        if not coeff:
-            continue
-        exponents = []
-        prev = degree
-        ok = True
-        for _ in range(nvars):
-            e = key & mask
-            if e > prev:
-                ok = False
-                break
-            prev = e
-            exponents.append(e)
-            key >>= bits
-        if ok:
-            coeffs[tuple(p for p in exponents if p)] = coeff
+    if f_coeffs and g_coeffs:
+        for mu in partitions_of(degree):
+            total = sum(
+                count * f_coeffs.get(alpha, 0) * g_coeffs.get(beta, 0)
+                for alpha, beta, count in _splits(mu, f.degree)
+            )
+            if total:
+                coeffs[mu] = total
     return MonomialVector(degree, coeffs)

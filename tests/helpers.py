@@ -11,10 +11,19 @@ import io
 import random
 from contextlib import redirect_stderr, redirect_stdout
 from functools import lru_cache
+from itertools import permutations
 
 from hypothesis import strategies as st
 
-from petrie import SkewShape, contains, is_rim_hook, partitions_of, remove_rim_hooks, rim_hook_height
+from petrie import (
+    MonomialVector,
+    SkewShape,
+    contains,
+    is_rim_hook,
+    partitions_of,
+    remove_rim_hooks,
+    rim_hook_height,
+)
 from petrie.cli import main as cli_main
 
 
@@ -102,3 +111,36 @@ def partition_count(n: int) -> int:
             j += 1
         table[m] = total
     return table[n]
+
+
+@lru_cache(maxsize=None)
+def _literal_polynomial(terms: tuple, nvars: int) -> dict[tuple[int, ...], int]:
+    """A symmetric function given by its (partition, coefficient) terms,
+    written out as a polynomial in ``nvars`` variables."""
+    poly = {}
+    for lam, coeff in terms:
+        if len(lam) <= nvars:
+            for exponents in set(permutations(lam + (0,) * (nvars - len(lam)))):
+                poly[exponents] = coeff
+    return poly
+
+
+def literal_product(f: MonomialVector, g: MonomialVector) -> MonomialVector:
+    """f * g by writing both factors out as polynomials in d = deg f + deg g
+    variables, multiplying term by term and keeping the weakly decreasing
+    exponent vectors."""
+    nvars = f.degree + g.degree
+    poly_g = _literal_polynomial(tuple(g.items()), nvars)
+    product: dict[tuple[int, ...], int] = {}
+    for ka, ca in _literal_polynomial(tuple(f.items()), nvars).items():
+        for kb, cb in poly_g.items():
+            key = tuple(a + b for a, b in zip(ka, kb))
+            product[key] = product.get(key, 0) + ca * cb
+    return MonomialVector(
+        nvars,
+        {
+            tuple(e for e in key if e): coeff
+            for key, coeff in product.items()
+            if list(key) == sorted(key, reverse=True)
+        },
+    )

@@ -7,7 +7,13 @@ from pathlib import Path
 import pytest
 
 from helpers import run_cli
-from petrie import SchurExpansion, petrie_schur_expansion, petrie_times_power_sum, transition_matrix
+from petrie import (
+    InternalInvariantFailure,
+    SchurExpansion,
+    petrie_schur_expansion,
+    petrie_times_power_sum,
+    transition_matrix,
+)
 from petrie import cli as cli_mod
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -196,6 +202,31 @@ class TestExitCodes:
         code, _, err = run_cli(["expand", "4", "8", "--verify"])
         assert code == 3
         assert "disagrees" in err
+
+    def test_internal_invariant_failure_exits_3(self, monkeypatch):
+        import petrie.schur_ring as sr
+
+        def broken(*args):
+            raise InternalInvariantFailure("witness contributions do not reinforce")
+
+        monkeypatch.setattr(sr, "verify_witness", broken)
+        code, _, err = run_cli(["classify", "3", "5", "3", "--witness"])
+        assert code == 3
+        assert "defect" in err
+
+    def test_sweep_out_missing_directory_exits_2(self, tmp_path, monkeypatch):
+        import petrie.schur_ring as sr
+
+        def never(*args, **kwargs):
+            raise AssertionError("sweep ran before the output path was checked")
+
+        monkeypatch.setattr(sr, "sweep_smf", never)
+        target = tmp_path / "missing" / "report.json"
+        code, out, err = run_cli(["sweep", "3", "4", "3", "--out", str(target)])
+        assert code == 2
+        assert err.startswith("error:") and "does not exist" in err
+        assert out == ""
+        assert not target.parent.exists()
 
     def test_sweep_disagreement_exits_5(self, monkeypatch):
         import petrie.schur_ring as sr

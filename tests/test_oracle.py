@@ -1,9 +1,9 @@
 import pytest
 
+from helpers import literal_product
 from petrie import (
     MonomialVector,
     dominates,
-    kostka_matrix,
     kostka_number,
     monomial_to_schur,
     partitions_of,
@@ -70,11 +70,10 @@ class TestKostka:
 
     def test_unitriangular(self):
         for degree in range(11):
-            matrix = kostka_matrix(degree)
             for shape in partitions_of(degree):
-                assert matrix.entry(shape, shape) == 1
+                assert kostka_number(shape, shape) == 1
                 for content in partitions_of(degree):
-                    if matrix.entry(shape, content):
+                    if kostka_number(shape, content):
                         assert dominates(shape, content)
 
     def test_row_sums_single_row_shape(self):
@@ -136,6 +135,34 @@ class TestPolyMultiplyExtract:
         f = petrie_monomial_vector(3, 4)
         g = schur_monomial_vector((2, 1))
         assert poly_multiply_extract(f, g) == poly_multiply_extract(g, f)
+
+
+def _small_vectors(degree):
+    """The distinct Petrie, Schur and power-sum monomial vectors of one
+    degree, and the zero vector."""
+    candidates = [petrie_monomial_vector(k, degree) for k in range(1, degree + 2)]
+    candidates += [schur_monomial_vector(lam) for lam in partitions_of(degree)]
+    if degree:
+        candidates.append(power_sum_monomial_vector(degree))
+    candidates.append(MonomialVector(degree, {}))
+    vectors = []
+    for vec in candidates:
+        if vec not in vectors:
+            vectors.append(vec)
+    return vectors
+
+
+class TestAgainstLiteralProduct:
+    @pytest.mark.parametrize("total", range(8))
+    def test_every_pair_up_to_degree_seven(self, total):
+        for deg_f in range(total + 1):
+            for f in _small_vectors(deg_f):
+                for g in _small_vectors(total - deg_f):
+                    assert poly_multiply_extract(f, g) == literal_product(f, g)
+
+    def test_reference_multiplies_literally(self):
+        e1 = MonomialVector(1, {(1,): 1})
+        assert literal_product(e1, e1) == MonomialVector(2, {(2,): 1, (1, 1): 2})
 
 
 class TestOracleEquivalence:
