@@ -27,7 +27,6 @@ from .errors import (
     MalformedPartition,
     NotARimHook,
     NotASizeKRimHook,
-    OverflowTrap,
     PetrieError,
     PreconditionViolated,
     SizeMismatch,

@@ -17,7 +17,8 @@ import argparse
 import json
 import os
 import sys
-from typing import Any
+from contextlib import nullcontext
+from typing import Any, TextIO
 
 from . import abacus, modular_schur, oracle, schur_ring
 from .errors import InternalInvariantFailure, PetrieError
@@ -47,14 +48,20 @@ def _resolve_format(args: argparse.Namespace) -> str:
     return env if env in ("json", "text") else "text"
 
 
-def _emit_json(command: str, params: dict[str, Any], result: dict[str, Any]) -> None:
+def _emit_json(
+    command: str,
+    params: dict[str, Any],
+    result: dict[str, Any],
+    stream: TextIO | None = None,
+) -> None:
+    """Write the JSON envelope of one result to ``stream`` (stdout by default)."""
     envelope = {
         "command": command,
         "params": params,
         "result": result,
         "format_version": FORMAT_VERSION,
     }
-    print(json.dumps(envelope, indent=2))
+    print(json.dumps(envelope, indent=2), file=stream)
 
 
 def _add_format_flags(parser: argparse.ArgumentParser) -> None:
@@ -253,28 +260,17 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         "n_max": args.n_max,
         "jobs": args.jobs,
     }
-    if _resolve_format(args) == "json":
-        rendered = json.dumps(
-            {
-                "command": "sweep",
-                "params": params,
-                "result": report.to_json_dict(),
-                "format_version": FORMAT_VERSION,
-            },
-            indent=2,
-        )
-    else:
-        rendered = report.to_text()
+    with open(args.out, "w", encoding="utf-8") if args.out else nullcontext() as stream:
+        if _resolve_format(args) == "json":
+            _emit_json("sweep", params, report.to_json_dict(), stream)
+        else:
+            print(report.to_text(), file=stream)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(rendered + "\n")
         print(
             f"report written to {args.out}:"
             f" {len(report.non_smf)} non-SMF triples,"
             f" {len(report.disagreements)} disagreements"
         )
-    else:
-        print(rendered)
     if report.disagreements:
         return _fail(
             "sweep found disagreements with the classification",

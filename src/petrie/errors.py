@@ -36,11 +36,3 @@ class InternalInvariantFailure(PetrieError):
 class BlockViolation(InternalInvariantFailure):
     """Transition-matrix entry crosses two distinct k-core blocks."""
 
-
-class OverflowTrap(PetrieError):
-    """Exact-integer bound exceeded during coefficient arithmetic.
-
-    Python integers are arbitrary precision, so the library itself can never
-    hit this; the class exists so callers porting the computation to
-    fixed-width integer environments have a named trap to raise.
-    """

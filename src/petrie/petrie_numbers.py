@@ -2,9 +2,13 @@
 
 Each returns an exact integer in {-1, 0, 1}: the coefficient of the Schur
 function s_lam in the Petrie symmetric function of matching degree.
+``grinberg_support`` lists the nonzero ones of one degree straight off the
+abacus.
 """
 
 from __future__ import annotations
+
+from typing import Iterator
 
 from .abacus import gammas_distinct, k_core, ninv, profile, rim_hook_sequence
 from .errors import InternalInvariantFailure
@@ -71,6 +75,48 @@ def pet_grinberg(lam: Partition, k: int) -> int:
         return 0
     exponent = sum(prof.beta) + ninv(prof.gamma) + sum(prof.gamma)
     return _as_sign_or_zero(-1 if exponent % 2 else 1)
+
+
+def _level_splits(total: int, runners: int) -> Iterator[tuple[int, ...]]:
+    """Every way to write ``total`` as an ordered sum of ``runners`` parts >= 0."""
+    if runners == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _level_splits(total - first, runners - 1):
+            yield (first,) + rest
+
+
+def grinberg_support(k: int, m: int) -> Iterator[tuple[Partition, int]]:
+    """Every partition of m with a nonzero k-Petrie number, with that number.
+
+    Needs k >= 2.  Instead of scoring each partition with
+    :func:`pet_grinberg`, this builds the nonzero ones from the abacus: lam
+    is in the support iff lam_1 < k and the k-1 beads mu_i + k-2-i of
+    mu = lam' lie on distinct runners, so exactly one runner is empty.  The
+    bead positions sum to m + (k-1)(k-2)/2, which fixes the empty runner
+    e = (k-1-m) mod k and the number L = (m-(k-1)+e)/k of levels the beads
+    sit below the top row in total.  Each split of L over the other k-1
+    runners is one lam, C(L+k-2, k-2) in all.  The sign is the one of
+    :func:`pet_grinberg`; gamma_i is one more than the runner of the i-th
+    largest bead.
+    """
+    if k < 2:
+        raise ValueError("grinberg_support needs k >= 2")
+    if m < 0:
+        raise ValueError("m must be >= 0")
+    empty = (k - 1 - m) % k
+    levels = (m - (k - 1) + empty) // k
+    runners = [r for r in range(k) if r != empty]
+    for split in _level_splits(levels, k - 1):
+        beads = sorted(
+            ((level * k + r, r) for level, r in zip(split, runners)), reverse=True
+        )
+        mu = tuple(b - (k - 2 - i) for i, (b, _) in enumerate(beads))
+        beta = [b - (k - 1) for b, _ in beads]
+        gamma = [r + 1 for _, r in beads]
+        exponent = sum(beta) + ninv(gamma) + sum(gamma)
+        yield conjugate(mu), _as_sign_or_zero(-1 if exponent % 2 else 1)
 
 
 def pet_rimhook(lam: Partition, k: int) -> int:

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from functools import partial
+from typing import Mapping
 
 from .errors import InternalInvariantFailure, PreconditionViolated
 from .partitions import (
@@ -21,9 +22,8 @@ from .partitions import (
     contains,
     format_partition,
     is_rim_hook,
-    partitions_of,
 )
-from .petrie_numbers import pet_det, pet_grinberg
+from .petrie_numbers import grinberg_support, pet_det
 
 
 class SchurExpansion:
@@ -116,16 +116,19 @@ class SmfVerdict:
 
     signed_multiplicity_free: bool
     offending: tuple[Partition, int] | None = None
-    witness: tuple[Partition, Partition, Partition] | None = None
 
 
 def petrie_schur_expansion(k: int, m: int) -> SchurExpansion:
     """Schur expansion of the degree-m Petrie symmetric function G(k, m).
 
     The support is exactly the partitions of m with first part below k whose
-    k-core has at most one part; the coefficient is the k-Petrie number.
-    At k = 1 the generating product is the constant 1, so the expansion is
-    empty for every m >= 1.
+    conjugate's k-1 beads lie on distinct runners of a k-runner abacus; the
+    coefficient is the k-Petrie number.  Both are generated bead placement
+    by bead placement (:func:`~petrie.petrie_numbers.grinberg_support`), so
+    the cost is proportional to the support, C(L+k-2, k-2) terms with
+    L = (m-(k-1)+e)/k and e = (k-1-m) mod k, not to the number of
+    partitions of m.  At k = 1 the generating product is the constant 1, so
+    the expansion is empty for every m >= 1.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -133,12 +136,7 @@ def petrie_schur_expansion(k: int, m: int) -> SchurExpansion:
         raise ValueError("m must be >= 0")
     if k == 1:
         return SchurExpansion(m, {(): 1} if m == 0 else {})
-    terms = {}
-    for lam in partitions_of(m, k - 1):
-        coeff = pet_grinberg(lam, k)
-        if coeff:
-            terms[lam] = coeff
-    return SchurExpansion(m, terms)
+    return SchurExpansion(m, dict(grinberg_support(k, m)))
 
 
 def _growth_height(lam_plus: Partition, lam: Partition) -> int:
@@ -344,40 +342,46 @@ class SweepReport:
         return "\n".join(lines)
 
 
-def _sweep_triple(triple: tuple[int, int, int]):
-    k, m, n = triple
-    verdict = is_signed_multiplicity_free(petrie_times_power_sum(k, m, n))
-    predicted = classify_smf(k, m, n)
-    witness = None
-    if not predicted:
-        try:
-            witness = witness_non_smf(k, m, n)
-        except InternalInvariantFailure:
-            witness = None
-    return (triple, verdict.signed_multiplicity_free, predicted, verdict.offending, witness)
+def _sweep_pair(km: tuple[int, int], n_max: int):
+    """Observed and predicted verdicts for (k, m, n), n = 1..n_max, from one
+    expansion of G(k, m)."""
+    k, m = km
+    expansion = petrie_schur_expansion(k, m)
+    results = []
+    for n in range(1, n_max + 1):
+        verdict = is_signed_multiplicity_free(multiply_power_sum(expansion, n))
+        predicted = classify_smf(k, m, n)
+        witness = None
+        if not predicted:
+            try:
+                witness = witness_non_smf(k, m, n)
+            except InternalInvariantFailure:
+                witness = None
+        results.append(
+            ((k, m, n), verdict.signed_multiplicity_free, predicted, verdict.offending, witness)
+        )
+    return results
 
 
 def sweep_smf(k_max: int, m_max: int, n_max: int, jobs: int = 1) -> SweepReport:
     """Compare observed and predicted SMF verdicts over a whole grid.
 
     Covers k in 1..k_max, m in 0..m_max, n in 1..n_max.  Every non-SMF
-    triple also gets a constructed-and-verified witness.  With jobs > 1 the
-    triples are evaluated in a process pool; the report is identical to the
-    sequential one.
+    triple also gets a constructed-and-verified witness.  G(k, m) is built
+    once per (k, m) and multiplied by every p_n.  With jobs > 1 the (k, m)
+    pairs are evaluated in a process pool, one task per pair; the report is
+    identical to the sequential one.
     """
     if k_max < 1 or m_max < 1 or n_max < 1:
         raise ValueError("sweep bounds must be >= 1")
-    triples = [
-        (k, m, n)
-        for k in range(1, k_max + 1)
-        for m in range(0, m_max + 1)
-        for n in range(1, n_max + 1)
-    ]
+    pairs = [(k, m) for k in range(1, k_max + 1) for m in range(0, m_max + 1)]
+    task = partial(_sweep_pair, n_max=n_max)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_sweep_triple, triples, chunksize=16))
+            per_pair = list(pool.map(task, pairs))
     else:
-        results = [_sweep_triple(t) for t in triples]
+        per_pair = [task(km) for km in pairs]
+    results = [row for rows in per_pair for row in rows]
 
     non_smf: list[NonSmfEntry] = []
     disagreements: list[tuple[int, int, int]] = []
@@ -396,7 +400,7 @@ def sweep_smf(k_max: int, m_max: int, n_max: int, jobs: int = 1) -> SweepReport:
         k_max=k_max,
         m_max=m_max,
         n_max=n_max,
-        triples=len(triples),
+        triples=len(results),
         non_smf=tuple(non_smf),
         disagreements=tuple(disagreements),
         max_abs_coeff=max_abs,

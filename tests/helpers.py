@@ -17,10 +17,12 @@ from hypothesis import strategies as st
 
 from petrie import (
     MonomialVector,
+    SchurExpansion,
     SkewShape,
     contains,
     is_rim_hook,
     partitions_of,
+    pet_grinberg,
     remove_rim_hooks,
     rim_hook_height,
 )
@@ -90,6 +92,14 @@ def random_chain_sign(lam, k, rng: random.Random):
         height = rim_hook_height(SkewShape(current, nxt))
         sign *= -1 if height % 2 == 0 else 1
         current = nxt
+
+
+def scanned_petrie_expansion(k: int, m: int) -> SchurExpansion:
+    """G(k, m) by scoring every partition of m with parts below k with
+    Grinberg's formula and keeping the nonzero ones."""
+    return SchurExpansion(
+        m, {lam: pet_grinberg(lam, k) for lam in partitions_of(m, k - 1)}
+    )
 
 
 def partition_count(n: int) -> int:

@@ -114,6 +114,12 @@ class TestJson:
         triples = {(e["k"], e["m"], e["n"]) for e in payload["result"]["non_smf"]}
         assert (3, 5, 3) in triples
 
+    def test_sweep_result_independent_of_jobs(self):
+        sequential = self._payload(["sweep", "6", "12", "8", "--json", "--jobs", "1"])
+        pooled = self._payload(["sweep", "6", "12", "8", "--json", "--jobs", "2"])
+        assert pooled["result"] == sequential["result"]
+        assert pooled["params"]["jobs"] == 2
+
 
 class TestTextCommands:
     def test_pet_values(self):
@@ -161,6 +167,14 @@ class TestTextCommands:
         assert code == 0
         assert "report written" in out
         assert "0 disagreements" in target.read_text()
+
+    def test_sweep_out_file_matches_stdout(self, tmp_path):
+        target = tmp_path / "report"
+        for fmt in ("--json", "--text"):
+            _, printed, _ = run_cli(["sweep", "3", "5", "3", fmt])
+            code, _, _ = run_cli(["sweep", "3", "5", "3", fmt, "--out", str(target)])
+            assert code == 0
+            assert target.read_text(encoding="utf-8") == printed
 
     def test_verify_liu_polo(self):
         code, out, _ = run_cli(["verify-liu-polo", "2", "10"])

@@ -1,5 +1,8 @@
+from math import comb
+
 import pytest
 
+from helpers import scanned_petrie_expansion
 from petrie import (
     InternalInvariantFailure,
     MalformedPartition,
@@ -97,6 +100,27 @@ class TestPetrieExpansion:
                 f = petrie_schur_expansion(k, m)
                 for lam in partitions_of(m):
                     assert f.coefficient(lam) == pet_det(lam, k)
+
+    def test_equals_partition_scan(self):
+        # covers k = 1, m = 0 and m < k-1 (a single term s[m])
+        for k in range(1, 11):
+            for m in range(31):
+                assert petrie_schur_expansion(k, m) == scanned_petrie_expansion(k, m), (k, m)
+
+    def test_generated_coefficients_match_determinant(self):
+        for k in range(2, 9):
+            for m in range(21):
+                for lam, coeff in petrie_schur_expansion(k, m).items():
+                    assert coeff == pet_det(lam, k), (k, m, lam)
+
+    def test_support_size_is_bead_placement_count(self):
+        for k in range(2, 11):
+            for m in range(31):
+                empty = (k - 1 - m) % k
+                levels = (m - (k - 1) + empty) // k
+                assert len(petrie_schur_expansion(k, m)) == comb(levels + k - 2, k - 2), (k, m)
+        assert len(petrie_schur_expansion(10, 40)) == 495
+        assert len(petrie_schur_expansion(12, 60)) == 3003
 
 
 class TestMultiplyPowerSum:
@@ -273,6 +297,22 @@ class TestSweep:
 
     def test_parallel_equals_sequential(self):
         assert sweep_smf(4, 6, 4, jobs=2) == sweep_smf(4, 6, 4)
+
+    def test_expansion_built_once_per_k_and_m(self, monkeypatch):
+        import petrie.schur_ring as sr
+
+        calls = []
+        build = sr.petrie_schur_expansion
+
+        def counted(k, m):
+            calls.append((k, m))
+            return build(k, m)
+
+        monkeypatch.setattr(sr, "petrie_schur_expansion", counted)
+        report = sweep_smf(4, 6, 5)
+        assert report.triples == 4 * 7 * 5
+        assert len(calls) == 4 * (6 + 1)
+        assert len(set(calls)) == len(calls)
 
     def test_wide_grid_is_clean(self):
         report = sweep_smf(7, 12, 8)
