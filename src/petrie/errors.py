@@ -35,4 +35,3 @@ class InternalInvariantFailure(PetrieError):
 
 class BlockViolation(InternalInvariantFailure):
     """Transition-matrix entry crosses two distinct k-core blocks."""
-
