@@ -49,7 +49,11 @@ def format_partition(lam: Sequence[int]) -> str:
 
 def conjugate(lam: Partition) -> Partition:
     """Transpose the Young diagram: part i of the result counts rows >= i."""
-    lam = as_partition(lam)
+    return _conjugate(as_partition(lam))
+
+
+def _conjugate(lam: Sequence[int]) -> Partition:
+    """:func:`conjugate` of weakly decreasing nonnegative parts, unchecked."""
     if not lam:
         return ()
     return tuple(sum(1 for p in lam if p >= i) for i in range(1, lam[0] + 1))
@@ -161,19 +165,44 @@ def partition_from_beta_set(beads: Iterable[int]) -> Partition:
 def add_rim_hooks(lam: Partition, n: int) -> list[Partition]:
     """All partitions obtained from ``lam`` by adding one rim hook of size n.
 
-    Implemented as bead moves b -> b+n on the beta-set; a move is legal iff
-    the target position is free, and each legal move is one rim-hook
-    addition.
+    ``lam`` is validated once here; the additions come from the bead rule
+    of :func:`_signed_rim_hooks`, one per legal bead move b -> b+n.
     """
     lam = as_partition(lam)
     if n < 1:
         raise ValueError("hook size must be >= 1")
-    beads = set(beta_set(lam, len(lam) + n))
-    out = []
-    for b in beads:
-        if b + n not in beads:
-            out.append(partition_from_beta_set(beads - {b} | {b + n}))
-    return sorted(out, reverse=True)
+    return sorted((lam_plus for lam_plus, _ in _signed_rim_hooks(lam, n)), reverse=True)
+
+
+def _signed_rim_hooks(lam: Partition, n: int) -> Iterator[tuple[Partition, int]]:
+    """Each ``(lam_plus, (-1)^height)`` for a rim hook of size ``n >= 1``
+    added to the canonical partition ``lam``; nothing is validated.
+
+    With L = len(lam) + n beads at lam_i + L-1-i, a bead b may move to
+    t = b+n iff t is free.  The beads from the first one below t down to
+    the one above b each slide one place down the list, so their parts
+    grow by one, and the hook's height is their number: the beads strictly
+    between b and b+n.  This is the one height rule of the fast path; the
+    cell count of :func:`rim_hook_height` is its checked definition.
+    """
+    size = len(lam) + n
+    pad = lam + (0,) * n
+    beads = [pad[i] + size - 1 - i for i in range(size)]
+    occupied = set(beads)
+    j0 = 0
+    for idx, b in enumerate(beads):
+        t = b + n
+        if t in occupied:
+            continue
+        while beads[j0] > t:
+            j0 += 1
+        lam_plus = (
+            pad[:j0]
+            + (t - (size - 1 - j0),)
+            + tuple(p + 1 for p in pad[j0:idx])
+            + lam[idx + 1 :]
+        )
+        yield lam_plus, -1 if (idx - j0) % 2 else 1
 
 
 def remove_rim_hooks(lam: Partition, n: int) -> list[Partition]:

@@ -12,7 +12,7 @@ from typing import Iterator
 
 from .abacus import gammas_distinct, k_core, ninv, profile, rim_hook_sequence
 from .errors import InternalInvariantFailure
-from .partitions import Partition, as_partition, conjugate
+from .partitions import Partition, _conjugate, as_partition, conjugate
 
 
 def _as_sign_or_zero(value: int) -> int:
@@ -116,7 +116,7 @@ def grinberg_support(k: int, m: int) -> Iterator[tuple[Partition, int]]:
         beta = [b - (k - 1) for b, _ in beads]
         gamma = [r + 1 for _, r in beads]
         exponent = sum(beta) + ninv(gamma) + sum(gamma)
-        yield conjugate(mu), _as_sign_or_zero(-1 if exponent % 2 else 1)
+        yield _conjugate(mu), _as_sign_or_zero(-1 if exponent % 2 else 1)
 
 
 def pet_rimhook(lam: Partition, k: int) -> int:

@@ -11,13 +11,13 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .errors import InternalInvariantFailure, PreconditionViolated
 from .partitions import (
     Partition,
     SkewShape,
-    add_rim_hooks,
+    _signed_rim_hooks,
     as_partition,
     contains,
     format_partition,
@@ -47,6 +47,18 @@ class SchurExpansion:
                 clean[lam] = int(coeff)
         self._degree = degree
         self._terms = clean
+
+    @classmethod
+    def _from_canonical(
+        cls, degree: int, terms: Iterable[tuple[Partition, int]]
+    ) -> "SchurExpansion":
+        """Build from ``(partition, coefficient)`` pairs whose keys are
+        canonical partitions of ``degree``; zero coefficients are dropped
+        and nothing is validated."""
+        self = cls.__new__(cls)
+        self._degree = degree
+        self._terms = {lam: coeff for lam, coeff in terms if coeff}
+        return self
 
     @property
     def degree(self) -> int:
@@ -136,30 +148,26 @@ def petrie_schur_expansion(k: int, m: int) -> SchurExpansion:
         raise ValueError("m must be >= 0")
     if k == 1:
         return SchurExpansion(m, {(): 1} if m == 0 else {})
-    return SchurExpansion(m, dict(grinberg_support(k, m)))
-
-
-def _growth_height(lam_plus: Partition, lam: Partition) -> int:
-    """Height of the rim hook lam_plus/lam: rows that grew, minus one."""
-    grown = sum(
-        1
-        for i in range(len(lam_plus))
-        if lam_plus[i] > (lam[i] if i < len(lam) else 0)
-    )
-    return grown - 1
+    return SchurExpansion._from_canonical(m, grinberg_support(k, m))
 
 
 def multiply_power_sum(f: SchurExpansion, n: int) -> SchurExpansion:
     """Murnaghan-Nakayama product: for each term add every size-n rim hook,
-    signed by (-1)^height, and combine like terms."""
+    signed by (-1)^height, and combine like terms.
+
+    Hooks and signs come from the bead rule
+    (:func:`~petrie.partitions._signed_rim_hooks`): the height is the
+    number of beads strictly between b and b+n.  The keys of ``f`` were
+    validated when ``f`` was built, so neither they nor the product's keys
+    are validated again.
+    """
     if n < 1:
         raise ValueError("power sum index must be >= 1")
     acc: dict[Partition, int] = {}
-    for lam, coeff in f.items():
-        for lam_plus in add_rim_hooks(lam, n):
-            sign = -1 if _growth_height(lam_plus, lam) % 2 else 1
+    for lam, coeff in f._terms.items():
+        for lam_plus, sign in _signed_rim_hooks(lam, n):
             acc[lam_plus] = acc.get(lam_plus, 0) + sign * coeff
-    return SchurExpansion(f.degree + n, acc)
+    return SchurExpansion._from_canonical(f.degree + n, acc.items())
 
 
 def petrie_times_power_sum(k: int, m: int, n: int) -> SchurExpansion:
@@ -168,11 +176,15 @@ def petrie_times_power_sum(k: int, m: int, n: int) -> SchurExpansion:
 
 
 def is_signed_multiplicity_free(f: SchurExpansion) -> SmfVerdict:
-    """True iff every stored coefficient is -1 or 1 (vacuously true if empty)."""
-    for lam, coeff in f.items():
-        if abs(coeff) >= 2:
-            return SmfVerdict(signed_multiplicity_free=False, offending=(lam, coeff))
-    return SmfVerdict(signed_multiplicity_free=True)
+    """True iff every stored coefficient is -1 or 1 (vacuously true if empty).
+
+    The offending term is the largest key with |coefficient| >= 2, which is
+    the first such term in canonical order; no full sort is needed.
+    """
+    worst = max((lam for lam, coeff in f._terms.items() if abs(coeff) >= 2), default=None)
+    if worst is None:
+        return SmfVerdict(signed_multiplicity_free=True)
+    return SmfVerdict(signed_multiplicity_free=False, offending=(worst, f._terms[worst]))
 
 
 def classify_smf(k: int, m: int, n: int) -> bool:
@@ -196,6 +208,7 @@ def verify_witness(
     lam_plus by a rim hook of size n, and the two signed contributions must
     agree so the coefficient of s_(lam_plus) has absolute value >= 2.
     """
+    lam, mu, lam_plus = as_partition(lam), as_partition(mu), as_partition(lam_plus)
     if lam == mu:
         raise InternalInvariantFailure("witness partitions coincide")
     pet_lam, pet_mu = pet_det(lam, k), pet_det(mu, k)
@@ -209,8 +222,7 @@ def verify_witness(
             raise InternalInvariantFailure(
                 f"{lam_plus}/{small} is not a rim hook of size {n}"
             )
-    sign_lam = -1 if _growth_height(lam_plus, lam) % 2 else 1
-    sign_mu = -1 if _growth_height(lam_plus, mu) % 2 else 1
+    sign_lam, sign_mu = (dict(_signed_rim_hooks(small, n))[lam_plus] for small in (lam, mu))
     if sign_lam * pet_lam != sign_mu * pet_mu:
         raise InternalInvariantFailure("witness contributions do not reinforce")
 

@@ -47,13 +47,52 @@ def partitions_strategy(max_size: int = 8, max_part: int = 8):
 
 
 def filter_add_rim_hooks(lam, n):
-    """Rim-hook additions found by filtering every containing partition."""
-    total = sum(lam) + n
-    return [
-        big
-        for big in partitions_of(total)
-        if contains(lam, big) and is_rim_hook(SkewShape(big, lam))
-    ]
+    """Rim-hook additions found by filtering containing partitions.
+
+    Only containing partitions whose n new cells could form a rim hook are
+    filtered: the new cells sit in consecutive rows (an edge-connected shape
+    has no empty row between two occupied ones) and a new row ends at most
+    one column past the old end of the row above (no 2x2 square).
+    ``is_rim_hook`` decides the rest.
+    """
+    inner = tuple(lam) + (0,) * n
+    candidates = []
+
+    def walk(i, rows, left, started):
+        if left == 0:
+            candidates.append(tuple(rows) + tuple(lam[i:]))
+            return
+        if i == len(inner):
+            return
+        cap = rows[-1] if rows else inner[0] + left
+        if started:
+            cap = min(cap, inner[i - 1] + 1)
+        low = inner[i] + 1 if started else inner[i]
+        for part in range(min(cap, inner[i] + left), low - 1, -1):
+            walk(i + 1, rows + [part], left - (part - inner[i]), part > inner[i])
+
+    walk(0, [], n, False)
+    return sorted(
+        (big for big in candidates if is_rim_hook(SkewShape(big, lam))), reverse=True
+    )
+
+
+@lru_cache(maxsize=None)
+def _reference_signed_hooks(lam, n):
+    return tuple(
+        (big, -1 if rim_hook_height(SkewShape(big, lam)) % 2 else 1)
+        for big in filter_add_rim_hooks(lam, n)
+    )
+
+
+def reference_mn_product(f: SchurExpansion, n: int) -> SchurExpansion:
+    """f * p_n by the Murnaghan-Nakayama rule on cells: filtered rim-hook
+    additions, each signed by (-1)^height with the height counted in rows."""
+    acc = {}
+    for lam, coeff in f.items():
+        for big, sign in _reference_signed_hooks(lam, n):
+            acc[big] = acc.get(big, 0) + sign * coeff
+    return SchurExpansion(f.degree + n, acc)
 
 
 def filter_remove_rim_hooks(lam, n):

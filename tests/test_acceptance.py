@@ -31,9 +31,9 @@ from petrie import (
     profile,
     remove_rim_hooks,
     rim_hook_columns,
+    rim_hook_height,
     transition_matrix,
 )
-from petrie.schur_ring import _growth_height
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -196,7 +196,7 @@ def test_criterion_8_collision_structure():
                             assert len(sources) == 1, (k, m, n, big)
                         elif k >= 3 and len(sources) >= 2:
                             signed = [
-                                (-1 if _growth_height(big, lam) % 2 else 1) * pet
+                                (-1 if rim_hook_height(SkewShape(big, lam)) % 2 else 1) * pet
                                 for lam, pet in sources
                             ]
                             if n % k == 0:

@@ -24,6 +24,7 @@ from petrie import (
     rim_hook_columns,
     rim_hook_height,
 )
+from petrie.partitions import _signed_rim_hooks
 
 
 class TestParse:
@@ -196,6 +197,17 @@ class TestAddRemove:
     def test_empty_partition_hook_count(self):
         for n in range(1, 13):
             assert len(add_rim_hooks((), n)) == n
+
+    def test_bead_rule_matches_cell_heights(self):
+        # beads strictly between b and b+n against occupied rows minus one
+        for m in range(11):
+            for lam in partitions_of(m):
+                for n in range(1, 7):
+                    signed = dict(_signed_rim_hooks(lam, n))
+                    assert sorted(signed, reverse=True) == filter_add_rim_hooks(lam, n)
+                    for lam_plus, sign in signed.items():
+                        height = rim_hook_height(SkewShape(lam_plus, lam))
+                        assert sign == (-1) ** height, (lam, n, lam_plus)
 
 
 class TestPartitionsOf:

@@ -2,12 +2,13 @@ from math import comb
 
 import pytest
 
-from helpers import scanned_petrie_expansion
+from helpers import reference_mn_product, scanned_petrie_expansion
 from petrie import (
     InternalInvariantFailure,
     MalformedPartition,
     PreconditionViolated,
     SchurExpansion,
+    SkewShape,
     add_rim_hooks,
     classify_smf,
     is_signed_multiplicity_free,
@@ -19,6 +20,7 @@ from petrie import (
     petrie_times_power_sum,
     poly_multiply_extract,
     power_sum_monomial_vector,
+    rim_hook_height,
     schur_monomial_vector,
     sweep_smf,
     witness_non_smf,
@@ -161,6 +163,28 @@ class TestMultiplyPowerSum:
                     )
                     assert fast == slow, (lam, n)
 
+    def test_petrie_products_match_cell_reference(self):
+        for k in range(1, 9):
+            for m in range(21):
+                f = petrie_schur_expansion(k, m)
+                for n in range(1, 11):
+                    product = multiply_power_sum(f, n)
+                    reference = reference_mn_product(f, n)
+                    assert product.items() == reference.items(), (k, m, n)
+                    assert all(coeff for _, coeff in product.items())
+
+    def test_single_schur_matches_cell_reference(self):
+        for m in range(9):
+            for lam in partitions_of(m):
+                f = SchurExpansion(m, {lam: 1})
+                for n in range(1, 7):
+                    assert multiply_power_sum(f, n).items() == reference_mn_product(f, n).items()
+
+    def test_cancelled_terms_are_not_stored(self):
+        # s[2]*p_2 = s[4] + s[2,2] - s[2,1,1]; s[1,1]*p_2 = s[3,1] - s[2,2] - s[1,1,1,1]
+        product = multiply_power_sum(SchurExpansion(2, {(2,): 1, (1, 1): 1}), 2)
+        assert product.items() == [((4,), 1), ((3, 1), 1), ((2, 1, 1), -1), ((1, 1, 1, 1), -1)]
+
 
 class TestPetrieTimesPowerSum:
     def test_degree_five_products(self):
@@ -207,6 +231,18 @@ class TestSmfVerdict:
 
     def test_empty_expansion(self):
         assert is_signed_multiplicity_free(SchurExpansion(3, {})).signed_multiplicity_free
+
+    def test_offending_is_first_large_term_in_canonical_order(self):
+        report = sweep_smf(6, 12, 8)
+        entries = {(e.k, e.m, e.n): (e.offending, e.coeff) for e in report.non_smf}
+        assert entries
+        for k in range(1, 7):
+            for m in range(13):
+                for n in range(1, 9):
+                    product = petrie_times_power_sum(k, m, n)
+                    first = next(((lam, c) for lam, c in product.items() if abs(c) >= 2), None)
+                    assert is_signed_multiplicity_free(product).offending == first
+                    assert entries.get((k, m, n)) == first, (k, m, n)
 
 
 class TestClassify:
@@ -351,8 +387,6 @@ class TestSameTargetContributions:
                             assert len(sources) == 1, (k, m, n, big)
 
     def test_pair_ratio_depends_on_divisibility(self):
-        from petrie.schur_ring import _growth_height
-
         for k in range(3, 6):
             for m in range(9):
                 for n in range(1, 7):
@@ -360,7 +394,7 @@ class TestSameTargetContributions:
                         if big[0] >= k or len(sources) < 2:
                             continue
                         signed = [
-                            (-1 if _growth_height(big, lam) % 2 else 1) * pet
+                            (-1 if rim_hook_height(SkewShape(big, lam)) % 2 else 1) * pet
                             for lam, pet in sources
                         ]
                         if n % k == 0:
