@@ -171,7 +171,7 @@ def add_rim_hooks(lam: Partition, n: int) -> list[Partition]:
     lam = as_partition(lam)
     if n < 1:
         raise ValueError("hook size must be >= 1")
-    return sorted((lam_plus for lam_plus, _ in _signed_rim_hooks(lam, n)), reverse=True)
+    return sorted((big for big, _ in _signed_rim_hooks(lam, n)), reverse=True)
 
 
 def _signed_rim_hooks(lam: Partition, n: int) -> Iterator[tuple[Partition, int]]:

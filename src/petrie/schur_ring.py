@@ -181,10 +181,11 @@ def is_signed_multiplicity_free(f: SchurExpansion) -> SmfVerdict:
     The offending term is the largest key with |coefficient| >= 2, which is
     the first such term in canonical order; no full sort is needed.
     """
-    worst = max((lam for lam, coeff in f._terms.items() if abs(coeff) >= 2), default=None)
+    terms = f._terms
+    worst = max((lam for lam, coeff in terms.items() if abs(coeff) >= 2), default=None)
     if worst is None:
         return SmfVerdict(signed_multiplicity_free=True)
-    return SmfVerdict(signed_multiplicity_free=False, offending=(worst, f._terms[worst]))
+    return SmfVerdict(signed_multiplicity_free=False, offending=(worst, terms[worst]))
 
 
 def classify_smf(k: int, m: int, n: int) -> bool:
@@ -222,7 +223,9 @@ def verify_witness(
             raise InternalInvariantFailure(
                 f"{lam_plus}/{small} is not a rim hook of size {n}"
             )
-    sign_lam, sign_mu = (dict(_signed_rim_hooks(small, n))[lam_plus] for small in (lam, mu))
+    sign_lam, sign_mu = (
+        dict(_signed_rim_hooks(small, n))[lam_plus] for small in (lam, mu)
+    )
     if sign_lam * pet_lam != sign_mu * pet_mu:
         raise InternalInvariantFailure("witness contributions do not reinforce")
 
