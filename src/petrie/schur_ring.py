@@ -209,12 +209,12 @@ def verify_witness(
     lam_plus by a rim hook of size n, and the two signed contributions must
     agree so the coefficient of s_(lam_plus) has absolute value >= 2.
     """
-    lam, mu, lam_plus = as_partition(lam), as_partition(mu), as_partition(lam_plus)
     if lam == mu:
         raise InternalInvariantFailure("witness partitions coincide")
     pet_lam, pet_mu = pet_det(lam, k), pet_det(mu, k)
     if pet_lam == 0 or pet_mu == 0:
         raise InternalInvariantFailure("witness partition has zero Petrie number")
+    signs = []
     for small in (lam, mu):
         if not contains(small, lam_plus):
             raise InternalInvariantFailure(f"{small} not contained in {lam_plus}")
@@ -223,9 +223,8 @@ def verify_witness(
             raise InternalInvariantFailure(
                 f"{lam_plus}/{small} is not a rim hook of size {n}"
             )
-    sign_lam, sign_mu = (
-        dict(_signed_rim_hooks(small, n))[lam_plus] for small in (lam, mu)
-    )
+        signs.append(dict(_signed_rim_hooks(shape.inner, n))[shape.outer])
+    sign_lam, sign_mu = signs
     if sign_lam * pet_lam != sign_mu * pet_mu:
         raise InternalInvariantFailure("witness contributions do not reinforce")
 
