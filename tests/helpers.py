@@ -51,9 +51,10 @@ def filter_add_rim_hooks(lam, n):
 
     Only containing partitions whose n new cells could form a rim hook are
     filtered: the new cells sit in consecutive rows (an edge-connected shape
-    has no empty row between two occupied ones) and a new row ends at most
-    one column past the old end of the row above (no 2x2 square).
-    ``is_rim_hook`` decides the rest.
+    has no empty row between two occupied ones), and a row below another
+    new row ends exactly one column past that row's old end (the two rows
+    must share a column to be connected, and only one, or they hold a 2x2
+    square).  ``is_rim_hook`` decides each candidate.
     """
     inner = tuple(lam) + (0,) * n
     candidates = []
@@ -64,12 +65,15 @@ def filter_add_rim_hooks(lam, n):
             return
         if i == len(inner):
             return
-        cap = rows[-1] if rows else inner[0] + left
         if started:
-            cap = min(cap, inner[i - 1] + 1)
-        low = inner[i] + 1 if started else inner[i]
-        for part in range(min(cap, inner[i] + left), low - 1, -1):
-            walk(i + 1, rows + [part], left - (part - inner[i]), part > inner[i])
+            parts = [inner[i - 1] + 1]
+        else:
+            cap = rows[-1] if rows else inner[0] + left
+            parts = range(min(cap, inner[i] + left), inner[i] - 1, -1)
+        for part in parts:
+            grow = part - inner[i]
+            if grow <= left:
+                walk(i + 1, rows + [part], left - grow, grow > 0)
 
     walk(0, [], n, False)
     return sorted(
