@@ -31,7 +31,7 @@ _PRODUCT_CACHE: dict[tuple[int, tuple[int, ...]], MonomialVector] = {}
 def _petrie_product(k: int, degrees: tuple[int, ...]) -> MonomialVector:
     """Monomial vector of the product of G(k, d) over ``degrees`` (sorted desc)."""
     if not degrees:
-        return MonomialVector(0, {(): 1})
+        return MonomialVector._from_canonical(0, [((), 1)])
     cached = _PRODUCT_CACHE.get((k, degrees))
     if cached is None:
         prefix = _petrie_product(k, degrees[:-1])
@@ -40,17 +40,13 @@ def _petrie_product(k: int, degrees: tuple[int, ...]) -> MonomialVector:
     return cached
 
 
-def _degree_matrix(lam: Partition, size: int) -> list[list[int | None]]:
+def _degree_matrix(lam: Partition) -> list[list[int | None]]:
     """Entry (i, j) holds the Petrie degree lam_i - i + j, or None when negative."""
-    padded = lam + (0,) * (size - len(lam))
-    matrix: list[list[int | None]] = []
-    for i in range(size):
-        row = []
-        for j in range(size):
-            deg = padded[i] - (i + 1) + (j + 1)
-            row.append(deg if deg >= 0 else None)
-        matrix.append(row)
-    return matrix
+    size = len(lam)
+    return [
+        [lam[i] - i + j if lam[i] - i + j >= 0 else None for j in range(size)]
+        for i in range(size)
+    ]
 
 
 def _symbolic_det(matrix: list[list[int | None]]) -> dict[tuple[int, ...], int]:
@@ -82,18 +78,12 @@ def _symbolic_det(matrix: list[list[int | None]]) -> dict[tuple[int, ...], int]:
     return {mono: coeff for mono, coeff in expand(0, (1 << n) - 1) if coeff}
 
 
-def _det_monomial_vector(k: int, lam: Partition, size: int) -> MonomialVector:
-    poly = _symbolic_det(_degree_matrix(lam, size))
+def _det_monomial_vector(k: int, lam: Partition) -> MonomialVector:
     acc: dict[Partition, int] = {}
-    for mono, coeff in poly.items():
-        vec = _petrie_product(k, mono)
-        for part, c in vec.items():
-            total = acc.get(part, 0) + coeff * c
-            if total:
-                acc[part] = total
-            else:
-                acc.pop(part, None)
-    return MonomialVector(sum(lam), acc)
+    for mono, coeff in _symbolic_det(_degree_matrix(lam)).items():
+        for part, c in _petrie_product(k, mono)._terms.items():
+            acc[part] = acc.get(part, 0) + coeff * c
+    return MonomialVector._from_canonical(sum(lam), acc.items())
 
 
 def modular_schur_expansion(k: int, lam: Partition) -> SchurExpansion:
@@ -101,7 +91,7 @@ def modular_schur_expansion(k: int, lam: Partition) -> SchurExpansion:
     lam = as_partition(lam)
     if k < 1:
         raise ValueError("k must be >= 1")
-    return monomial_to_schur(_det_monomial_vector(k, lam, len(lam)))
+    return monomial_to_schur(_det_monomial_vector(k, lam))
 
 
 @dataclass(frozen=True)
@@ -177,10 +167,9 @@ def transition_matrix(k: int, m: int) -> TransitionMatrix:
     if k < 1 or m < 0:
         raise ValueError("need k >= 1 and m >= 0")
     order = tuple(partitions_of(m))
-    vectors = {lam: _det_monomial_vector(k, lam, len(lam)) for lam in order}
     rows = []
     for lam in order:
-        expansion = monomial_to_schur(vectors[lam])
+        expansion = modular_schur_expansion(k, lam)
         rows.append(tuple(expansion.coefficient(mu) for mu in order))
     cores = [k_core(lam, k) for lam in order]
     for i, lam in enumerate(order):

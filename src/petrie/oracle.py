@@ -6,9 +6,12 @@ is the sum, over every way to split the exponent vector mu into alpha plus
 mu - alpha, of f's coefficient on x^alpha times g's on x^(mu - alpha).
 Only the partition-shaped monomials x^mu are computed, since they determine
 the symmetric product.  Monomial vectors are converted to the Schur basis
-by back-substitution against Kostka numbers.  None of the algorithms here
-touch the determinant, gamma, or rim-hook evaluators they are used to
-check: being plain and independent is the point.
+by back-substitution against Kostka numbers, which come from one route:
+the horizontal-strip recursion of ``kostka_number``.  ``MonomialVector``
+shares its base with ``SchurExpansion``; the public constructor validates
+every key, and the vectors built here use the trusted one.  None of the
+algorithms here touch the determinant, gamma, or rim-hook evaluators they
+are used to check: being plain and independent is the point.
 """
 
 from __future__ import annotations
@@ -19,106 +22,35 @@ from math import factorial, prod
 from typing import Iterator, Mapping
 
 from .partitions import Partition, as_partition, dominates, partitions_of
-from .schur_ring import SchurExpansion
+from .schur_ring import SchurExpansion, _HomogeneousVector
 
 
-class MonomialVector:
+class MonomialVector(_HomogeneousVector):
     """A symmetric function recorded by its monomial-basis coefficients."""
 
-    __slots__ = ("_degree", "_coeffs")
+    __slots__ = ()
 
     def __init__(self, degree: int, coeffs: Mapping[Partition, int]):
-        if degree < 0:
-            raise ValueError("degree must be >= 0")
-        clean: dict[Partition, int] = {}
-        for lam, coeff in coeffs.items():
-            lam = as_partition(lam)
-            if sum(lam) != degree:
-                raise ValueError(f"{lam} is not a partition of {degree}")
-            if coeff:
-                clean[lam] = int(coeff)
-        self._degree = degree
-        self._coeffs = clean
-
-    @property
-    def degree(self) -> int:
-        return self._degree
-
-    def coefficient(self, lam: Partition) -> int:
-        return self._coeffs.get(as_partition(lam), 0)
-
-    def items(self) -> list[tuple[Partition, int]]:
-        return sorted(self._coeffs.items(), key=lambda kv: kv[0], reverse=True)
-
-    def support(self) -> list[Partition]:
-        return sorted(self._coeffs, reverse=True)
-
-    def __len__(self) -> int:
-        return len(self._coeffs)
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, MonomialVector)
-            and self._degree == other._degree
-            and self._coeffs == other._coeffs
-        )
+        # Own __init__, as in SchurExpansion: bench/tracer.py wraps own methods only.
+        self._validate(degree, coeffs)
 
     def __repr__(self) -> str:
-        return f"MonomialVector(degree={self._degree}, coeffs={self._coeffs!r})"
+        return f"MonomialVector(degree={self._degree}, coeffs={self._terms!r})"
 
 
 def petrie_monomial_vector(k: int, m: int) -> MonomialVector:
     """Coefficient 1 on every partition of m with all parts below k."""
     if k < 1 or m < 0:
         raise ValueError("need k >= 1 and m >= 0")
-    return MonomialVector(m, {lam: 1 for lam in partitions_of(m, k - 1)})
+    support = partitions_of(m, k - 1)
+    return MonomialVector._from_canonical(m, ((lam, 1) for lam in support))
 
 
 def power_sum_monomial_vector(n: int) -> MonomialVector:
     """The n-th power sum, which is the single monomial function m_(n)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return MonomialVector(n, {(n,): 1})
-
-
-def _count_ssyt(shape: Partition, content: Partition) -> int:
-    """Count semistandard tableaux of ``shape`` and exact ``content`` by
-    filling cells one at a time (weakly increasing rows, strictly increasing
-    columns)."""
-    remaining = list(content)
-    values = len(remaining)
-    cells = [(r, c) for r, width in enumerate(shape) for c in range(width)]
-    grid = [[0] * width for width in shape]
-
-    def fill(idx: int) -> int:
-        if idx == len(cells):
-            return 1
-        r, c = cells[idx]
-        low = grid[r][c - 1] if c else 1
-        if r:
-            low = max(low, grid[r - 1][c] + 1)
-        total = 0
-        for v in range(low, values + 1):
-            if remaining[v - 1]:
-                remaining[v - 1] -= 1
-                grid[r][c] = v
-                total += fill(idx + 1)
-                remaining[v - 1] += 1
-        return total
-
-    return fill(0)
-
-
-def schur_monomial_vector(lam: Partition) -> MonomialVector:
-    """Monomial expansion of a Schur function via tableau enumeration."""
-    lam = as_partition(lam)
-    degree = sum(lam)
-    coeffs = {}
-    for mu in partitions_of(degree):
-        count = _count_ssyt(lam, mu)
-        if count:
-            coeffs[mu] = count
-    return MonomialVector(degree, coeffs)
+    return MonomialVector._from_canonical(n, [((n,), 1)])
 
 
 def _inner_shapes_after_strip(shape: Partition, size: int) -> Iterator[Partition]:
@@ -159,6 +91,16 @@ def kostka_number(shape: Partition, content: Partition) -> int:
     )
 
 
+def schur_monomial_vector(lam: Partition) -> MonomialVector:
+    """Monomial expansion of a Schur function: the coefficient of m_mu is
+    the Kostka number K(lam, mu)."""
+    lam = as_partition(lam)
+    degree = sum(lam)
+    return MonomialVector._from_canonical(
+        degree, ((mu, kostka_number(lam, mu)) for mu in partitions_of(degree))
+    )
+
+
 def monomial_to_schur(v: MonomialVector) -> SchurExpansion:
     """Invert the unitriangular monomial expansion of Schur functions.
 
@@ -169,12 +111,12 @@ def monomial_to_schur(v: MonomialVector) -> SchurExpansion:
     degree = v.degree
     out: dict[Partition, int] = {}
     for lam in partitions_of(degree):
-        coeff = v.coefficient(lam)
+        coeff = v._terms.get(lam, 0)
         for nu, c in out.items():
             coeff -= c * kostka_number(nu, lam)
         if coeff:
             out[lam] = coeff
-    return SchurExpansion(degree, out)
+    return SchurExpansion._from_canonical(degree, out.items())
 
 
 def _run_lengths(seq) -> list[int]:
@@ -224,14 +166,12 @@ def poly_multiply_extract(f: MonomialVector, g: MonomialVector) -> MonomialVecto
     are exact Python integers throughout, so the arithmetic cannot overflow.
     """
     degree = f.degree + g.degree
-    f_coeffs, g_coeffs = dict(f.items()), dict(g.items())
+    f_coeffs, g_coeffs = f._terms, g._terms
     coeffs: dict[Partition, int] = {}
     if f_coeffs and g_coeffs:
         for mu in partitions_of(degree):
-            total = sum(
+            coeffs[mu] = sum(
                 count * f_coeffs.get(alpha, 0) * g_coeffs.get(beta, 0)
                 for alpha, beta, count in _splits(mu, f.degree)
             )
-            if total:
-                coeffs[mu] = total
-    return MonomialVector(degree, coeffs)
+    return MonomialVector._from_canonical(degree, coeffs.items())

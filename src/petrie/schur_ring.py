@@ -1,6 +1,9 @@
 """Sparse integer Schur-basis expansions and the signed-multiplicity story.
 
-Builds Petrie expansions G(k, m), multiplies them by power sums via the
+Holds the homogeneous sparse-vector base that ``SchurExpansion`` and the
+oracle's ``MonomialVector`` share, with its one key-validation rule and its
+trusted constructor for keys the library built itself.  Builds Petrie
+expansions G(k, m), multiplies them by power sums via the
 Murnaghan-Nakayama rule, classifies when the product stays signed
 multiplicity free (all coefficients in {-1, 0, 1}), and constructs verified
 witnesses in the region where it does not.
@@ -26,16 +29,20 @@ from .partitions import (
 from .petrie_numbers import grinberg_support, pet_det
 
 
-class SchurExpansion:
-    """A homogeneous integer combination of Schur functions.
+class _HomogeneousVector:
+    """A homogeneous integer vector in a basis indexed by partitions.
 
     Keys are partitions of ``degree``; zero coefficients are never stored;
     iteration is in canonical (reverse-lexicographic, largest-first) order.
+    Vectors are equal only when they have the same type, so a Schur-basis
+    and a monomial-basis vector with the same terms differ.
     """
 
     __slots__ = ("_degree", "_terms")
 
-    def __init__(self, degree: int, terms: Mapping[Partition, int]):
+    def _validate(self, degree: int, terms: Mapping[Partition, int]) -> None:
+        """Store ``terms`` after checking that every key is a partition of
+        ``degree``; the one key rule of every public constructor."""
         if degree < 0:
             raise ValueError("degree must be >= 0")
         clean: dict[Partition, int] = {}
@@ -49,9 +56,7 @@ class SchurExpansion:
         self._terms = clean
 
     @classmethod
-    def _from_canonical(
-        cls, degree: int, terms: Iterable[tuple[Partition, int]]
-    ) -> "SchurExpansion":
+    def _from_canonical(cls, degree: int, terms: Iterable[tuple[Partition, int]]):
         """Build from ``(partition, coefficient)`` pairs whose keys are
         canonical partitions of ``degree``; zero coefficients are dropped
         and nothing is validated."""
@@ -78,10 +83,20 @@ class SchurExpansion:
 
     def __eq__(self, other: object) -> bool:
         return (
-            isinstance(other, SchurExpansion)
+            type(other) is type(self)
             and self._degree == other._degree
             and self._terms == other._terms
         )
+
+
+class SchurExpansion(_HomogeneousVector):
+    """A homogeneous integer combination of Schur functions."""
+
+    __slots__ = ()
+
+    def __init__(self, degree: int, terms: Mapping[Partition, int]):
+        # Own __init__, not the base's: bench/tracer.py wraps own methods only.
+        self._validate(degree, terms)
 
     def __repr__(self) -> str:
         return f"SchurExpansion(degree={self._degree}, terms={self.to_text()!r})"

@@ -166,6 +166,34 @@ def partition_count(n: int) -> int:
     return table[n]
 
 
+def count_ssyt(shape, content) -> int:
+    """Count semistandard tableaux of ``shape`` and exact ``content`` by
+    filling cells one at a time (weakly increasing rows, strictly increasing
+    columns)."""
+    remaining = list(content)
+    values = len(remaining)
+    cells = [(r, c) for r, width in enumerate(shape) for c in range(width)]
+    grid = [[0] * width for width in shape]
+
+    def fill(idx: int) -> int:
+        if idx == len(cells):
+            return 1
+        r, c = cells[idx]
+        low = grid[r][c - 1] if c else 1
+        if r:
+            low = max(low, grid[r - 1][c] + 1)
+        total = 0
+        for v in range(low, values + 1):
+            if remaining[v - 1]:
+                remaining[v - 1] -= 1
+                grid[r][c] = v
+                total += fill(idx + 1)
+                remaining[v - 1] += 1
+        return total
+
+    return fill(0)
+
+
 @lru_cache(maxsize=None)
 def _literal_polynomial(terms: tuple, nvars: int) -> dict[tuple[int, ...], int]:
     """A symmetric function given by its (partition, coefficient) terms,

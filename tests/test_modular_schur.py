@@ -55,8 +55,8 @@ class TestModularSchurExpansion:
             k = rng.randint(1, 5)
             lam = rng.choice(partitions_of(m))
             pad = rng.randint(1, 3)
-            base = _det_monomial_vector(k, lam, len(lam))
-            padded = _det_monomial_vector(k, lam, len(lam) + pad)
+            base = _det_monomial_vector(k, lam)
+            padded = _det_monomial_vector(k, lam + (0,) * pad)
             assert base == padded, (k, lam, pad)
             cases += 1
 
@@ -83,7 +83,7 @@ class TestTransitionMatrix:
         assert matrix.order == ((3,), (2, 1), (1, 1, 1))
         assert matrix.blocks == {(1,): (0, 2), (2, 1): (1,)}
         for lam in matrix.order:
-            row = monomial_to_schur(_det_monomial_vector(2, lam, len(lam)))
+            row = monomial_to_schur(_det_monomial_vector(2, lam))
             for mu in matrix.order:
                 assert matrix.entry(lam, mu) == row.coefficient(mu)
 

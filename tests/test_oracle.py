@@ -1,8 +1,9 @@
 import pytest
 
-from helpers import literal_product
+from helpers import count_ssyt, literal_product
 from petrie import (
     MonomialVector,
+    SchurExpansion,
     dominates,
     kostka_number,
     monomial_to_schur,
@@ -14,7 +15,6 @@ from petrie import (
     power_sum_monomial_vector,
     schur_monomial_vector,
 )
-from petrie.oracle import _count_ssyt
 
 
 class TestMonomialVector:
@@ -24,6 +24,18 @@ class TestMonomialVector:
 
     def test_drops_zeros(self):
         assert len(MonomialVector(2, {(2,): 0, (1, 1): 3})) == 1
+
+    def test_trusted_constructor_drops_zeros(self):
+        for cls in (MonomialVector, SchurExpansion):
+            vec = cls._from_canonical(2, [((2,), 0), ((1, 1), 3)])
+            assert vec.items() == [((1, 1), 3)]
+            assert vec == cls(2, {(1, 1): 3})
+
+    def test_never_equals_schur_expansion(self):
+        terms = {(2, 1): 1, (1, 1, 1): 2}
+        assert MonomialVector(3, terms) != SchurExpansion(3, terms)
+        assert SchurExpansion(3, terms) != MonomialVector(3, terms)
+        assert MonomialVector(0, {}) != SchurExpansion(0, {})
 
 
 class TestPetrieMonomialVector:
@@ -66,7 +78,7 @@ class TestKostka:
         for degree in range(9):
             for shape in partitions_of(degree):
                 for content in partitions_of(degree):
-                    assert kostka_number(shape, content) == _count_ssyt(shape, content)
+                    assert kostka_number(shape, content) == count_ssyt(shape, content)
 
     def test_unitriangular(self):
         for degree in range(11):
