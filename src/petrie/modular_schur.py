@@ -2,88 +2,79 @@
 
 The modular Schur function attached to a partition lam is the
 Jacobi-Trudi-style determinant det[G(k, lam_i - i + j)] over the Petrie
-functions, with G(k, r) = 0 for r < 0 and G(k, 0) = 1.  The determinant is
-expanded symbolically into products of Petrie functions, each product is
-evaluated exactly through the polynomial oracle, and the total is converted
-to the Schur basis.
+functions, with G(k, r) = 0 for r < 0 and G(k, 0) = 1.  The generating
+product of G(k, .) is prod_i (1 - x_i^k z^k) / (1 - x_i z), so G(k, m) is the
+image of h_m under the ring map p_r -> c_r p_r with c_r = 1 - k when k
+divides r and c_r = 1 otherwise, and by Jacobi-Trudi the determinant is the
+image of s_lam.  Column orthogonality of the characters then gives the
+transition matrix from the Schur vectors v_mu of the power sums p_mu:
+
+    T = I + sum_mu ((1 - k)^j(mu) - 1) / z_mu * v_mu v_mu^T,
+
+summed over the classes mu of m with j(mu) > 0 parts divisible by k.  The
+v_mu come from the Murnaghan-Nakayama product, one power sum at a time, and
+m! * T is accumulated in integers and divided exactly by m!.  The
+tests check every row against the determinant expanded over the polynomial
+oracle (``tests/helpers.det_over_oracle``).
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from math import factorial, prod
 
 from .abacus import k_core
-from .errors import BlockViolation
-from .oracle import (
-    MonomialVector,
-    monomial_to_schur,
-    petrie_monomial_vector,
-    poly_multiply_extract,
-)
+from .errors import BlockViolation, InternalInvariantFailure
 from .partitions import Partition, as_partition, format_partition, partitions_of
-from .schur_ring import SchurExpansion
+from .schur_ring import SchurExpansion, multiply_power_sum
 
-# Cached products of Petrie functions, keyed by (k, descending degree tuple).
-_PRODUCT_CACHE: dict[tuple[int, tuple[int, ...]], MonomialVector] = {}
+# Schur vectors of the power sums p_mu, keyed by mu; shared by every k.
+_PRODUCT_CACHE: dict[Partition, SchurExpansion] = {}
 
 
-def _petrie_product(k: int, degrees: tuple[int, ...]) -> MonomialVector:
-    """Monomial vector of the product of G(k, d) over ``degrees`` (sorted desc)."""
-    if not degrees:
-        return MonomialVector._from_canonical(0, [((), 1)])
-    cached = _PRODUCT_CACHE.get((k, degrees))
+def _power_sum_vector(mu: Partition) -> SchurExpansion:
+    """Schur expansion of p_mu; its entry at lam is the character chi^lam_mu."""
+    cached = _PRODUCT_CACHE.get(mu)
     if cached is None:
-        prefix = _petrie_product(k, degrees[:-1])
-        cached = poly_multiply_extract(prefix, petrie_monomial_vector(k, degrees[-1]))
-        _PRODUCT_CACHE[(k, degrees)] = cached
+        if mu:
+            cached = multiply_power_sum(_power_sum_vector(mu[:-1]), mu[-1])
+        else:
+            cached = SchurExpansion._from_canonical(0, [((), 1)])
+        _PRODUCT_CACHE[mu] = cached
     return cached
 
 
-def _degree_matrix(lam: Partition) -> list[list[int | None]]:
-    """Entry (i, j) holds the Petrie degree lam_i - i + j, or None when negative."""
-    size = len(lam)
-    return [
-        [lam[i] - i + j if lam[i] - i + j >= 0 else None for j in range(size)]
-        for i in range(size)
-    ]
+def _weighted_classes(k: int, m: int) -> list[tuple[int, dict[Partition, int]]]:
+    """``(m!/z_mu * ((1-k)^j - 1), v_mu)`` for each class mu of m whose
+    weight is nonzero, j being the number of parts of mu divisible by k."""
+    classes = []
+    for mu in partitions_of(m):
+        weight = (1 - k) ** sum(1 for part in mu if part % k == 0) - 1
+        if weight:
+            z = prod(p**mult * factorial(mult) for p, mult in Counter(mu).items())
+            classes.append((factorial(m) // z * weight, _power_sum_vector(mu)._terms))
+    return classes
 
 
-def _symbolic_det(matrix: list[list[int | None]]) -> dict[tuple[int, ...], int]:
-    """Expand the determinant over commuting symbols g_d.
-
-    Returns a sparse polynomial keyed by descending tuples of degrees >= 1
-    (g_0 is the constant 1 and never appears in a key).
-    """
-    n = len(matrix)
-
-    @lru_cache(maxsize=None)
-    def expand(i: int, mask: int) -> tuple[tuple[tuple[int, ...], int], ...]:
-        if i == n:
-            return (((), 1),)
-        acc: dict[tuple[int, ...], int] = {}
-        sign = 1
-        for j in range(n):
-            if not mask & (1 << j):
-                continue
-            deg = matrix[i][j]
-            if deg is not None:
-                for mono, coeff in expand(i + 1, mask & ~(1 << j)):
-                    if deg:
-                        mono = tuple(sorted(mono + (deg,), reverse=True))
-                    acc[mono] = acc.get(mono, 0) + sign * coeff
-            sign = -sign
-        return tuple(sorted(acc.items()))
-
-    return {mono: coeff for mono, coeff in expand(0, (1 << n) - 1) if coeff}
-
-
-def _det_monomial_vector(k: int, lam: Partition) -> MonomialVector:
-    acc: dict[Partition, int] = {}
-    for mono, coeff in _symbolic_det(_degree_matrix(lam)).items():
-        for part, c in _petrie_product(k, mono)._terms.items():
-            acc[part] = acc.get(part, 0) + coeff * c
-    return MonomialVector._from_canonical(sum(lam), acc.items())
+def _row(
+    lam: Partition, classes: list[tuple[int, dict[Partition, int]]]
+) -> SchurExpansion:
+    """Row lam of the transition matrix from :func:`_weighted_classes`."""
+    m = sum(lam)
+    scale = factorial(m)
+    acc = {lam: scale}
+    for weight, v in classes:
+        w = weight * v.get(lam, 0)
+        if w:
+            for nu, c in v.items():
+                acc[nu] = acc.get(nu, 0) + w * c
+    row = {}
+    for nu, c in acc.items():
+        row[nu], rest = divmod(c, scale)
+        if rest:
+            raise InternalInvariantFailure(f"entry ({lam}, {nu}) is not an integer")
+    return SchurExpansion._from_canonical(m, row.items())
 
 
 def modular_schur_expansion(k: int, lam: Partition) -> SchurExpansion:
@@ -91,7 +82,7 @@ def modular_schur_expansion(k: int, lam: Partition) -> SchurExpansion:
     lam = as_partition(lam)
     if k < 1:
         raise ValueError("k must be >= 1")
-    return monomial_to_schur(_det_monomial_vector(k, lam))
+    return _row(lam, _weighted_classes(k, sum(lam)))
 
 
 @dataclass(frozen=True)
@@ -167,10 +158,11 @@ def transition_matrix(k: int, m: int) -> TransitionMatrix:
     if k < 1 or m < 0:
         raise ValueError("need k >= 1 and m >= 0")
     order = tuple(partitions_of(m))
+    classes = _weighted_classes(k, m)
     rows = []
     for lam in order:
-        expansion = modular_schur_expansion(k, lam)
-        rows.append(tuple(expansion.coefficient(mu) for mu in order))
+        terms = _row(lam, classes)._terms
+        rows.append(tuple(terms.get(mu, 0) for mu in order))
     cores = [k_core(lam, k) for lam in order]
     for i, lam in enumerate(order):
         for j, mu in enumerate(order):

@@ -56,17 +56,18 @@ def power_sum_monomial_vector(n: int) -> MonomialVector:
 def _inner_shapes_after_strip(shape: Partition, size: int) -> Iterator[Partition]:
     """All nu contained in ``shape`` with shape/nu a horizontal strip of ``size``."""
 
-    def rec(i: int, remaining: int, prefix: tuple[int, ...]) -> Iterator[Partition]:
+    def rec(i: int, remaining: int, prefix: Partition) -> Iterator[Partition]:
         if i == len(shape):
             if remaining == 0:
-                yield as_partition(prefix)
+                yield prefix
             return
         low = shape[i + 1] if i + 1 < len(shape) else 0
         for part in range(shape[i], low - 1, -1):
             removed = shape[i] - part
             if removed > remaining:
                 break
-            yield from rec(i + 1, remaining - removed, prefix + (part,))
+            # Parts never increase, so dropping a zero part strips trailing zeros.
+            yield from rec(i + 1, remaining - removed, prefix + (part,) if part else prefix)
 
     yield from rec(0, size, ())
 

@@ -11,7 +11,6 @@ witnesses in the region where it does not.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from typing import Iterable, Mapping
@@ -406,6 +405,9 @@ def sweep_smf(k_max: int, m_max: int, n_max: int, jobs: int = 1) -> SweepReport:
     pairs = [(k, m) for k in range(1, k_max + 1) for m in range(0, m_max + 1)]
     task = partial(_sweep_pair, n_max=n_max)
     if jobs > 1:
+        # Imported here: the pool pulls in multiprocessing, socket and logging.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             per_pair = list(pool.map(task, pairs))
     else:

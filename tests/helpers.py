@@ -21,8 +21,11 @@ from petrie import (
     SkewShape,
     contains,
     is_rim_hook,
+    monomial_to_schur,
     partitions_of,
     pet_grinberg,
+    petrie_monomial_vector,
+    poly_multiply_extract,
     remove_rim_hooks,
     rim_hook_height,
 )
@@ -225,3 +228,48 @@ def literal_product(f: MonomialVector, g: MonomialVector) -> MonomialVector:
             if list(key) == sorted(key, reverse=True)
         },
     )
+
+
+@lru_cache(maxsize=None)
+def _petrie_product(k: int, degrees: tuple[int, ...]) -> MonomialVector:
+    """The product of G(k, d) over ``degrees`` by the polynomial oracle."""
+    if not degrees:
+        return MonomialVector(0, {(): 1})
+    return poly_multiply_extract(
+        _petrie_product(k, degrees[:-1]), petrie_monomial_vector(k, degrees[-1])
+    )
+
+
+def det_over_oracle(k: int, lam) -> SchurExpansion:
+    """det[G(k, lam_i - i + j)] with G(k, r) = 0 for r < 0 and G(k, 0) = 1.
+
+    The determinant is expanded by Laplace along the rows over commuting
+    symbols g_d = G(k, d), memoized on the columns left; each product of
+    Petrie functions is evaluated by the polynomial oracle and the total is
+    converted to the Schur basis.  ``lam`` may carry trailing zeros.
+    """
+    n = len(lam)
+
+    @lru_cache(maxsize=None)
+    def minor(i: int, columns: int) -> tuple:
+        """(descending degrees, coefficient) terms of rows i.. on ``columns``."""
+        if i == n:
+            return (((), 1),)
+        acc: dict[tuple[int, ...], int] = {}
+        sign = 1
+        for j in range(n):
+            if columns & (1 << j):
+                degree = lam[i] - i + j
+                if degree >= 0:
+                    for degrees, coeff in minor(i + 1, columns & ~(1 << j)):
+                        if degree:
+                            degrees = tuple(sorted(degrees + (degree,), reverse=True))
+                        acc[degrees] = acc.get(degrees, 0) + sign * coeff
+                sign = -sign
+        return tuple(acc.items())
+
+    total: dict[tuple[int, ...], int] = {}
+    for degrees, coeff in minor(0, (1 << n) - 1):
+        for mu, c in _petrie_product(k, degrees).items():
+            total[mu] = total.get(mu, 0) + coeff * c
+    return monomial_to_schur(MonomialVector(sum(lam), total))

@@ -1,9 +1,12 @@
-"""Structural guards: the names the benchmark tracer wraps, and the
-oracle's independence from the fast path.
+"""Structural guards: the names the benchmark tracer wraps, the oracle's
+independence from the fast path and from ``modular_schur``, unused imports,
+and what importing the command line loads.
 
-Neither is behaviour a result would show.  A traced name that no longer
-resolves makes ``bench/run.py --trace 1`` drop its metrics silently, and an
-oracle that imports the fast path would check the fast path against itself.
+None of these is behaviour a result would show.  A traced name that no
+longer resolves makes ``bench/run.py --trace 1`` drop its metrics silently,
+a path that imports the one checking it would be checked against itself,
+an unused import is a leftover of deleted code, and a module loaded at
+import time is paid for by every command.
 """
 
 from __future__ import annotations
@@ -11,6 +14,8 @@ from __future__ import annotations
 import ast
 import importlib
 import inspect
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -66,3 +71,37 @@ def test_oracle_imports_nothing_from_the_fast_path():
                 assert not set(alias.name.split(".")) & FAST_PATH, alias.name
     for name in ("_signed_rim_hooks", "grinberg_support", "multiply_power_sum"):
         assert name not in source
+
+
+def test_modular_schur_imports_nothing_from_the_oracle():
+    tree = ast.parse(Path(modular_schur.__file__).read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            assert (node.module or "").rsplit(".", 1)[-1] != "oracle"
+            assert "oracle" not in {alias.name for alias in node.names}
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(p for p in (ROOT / "src" / "petrie").glob("*.py") if p.name != "__init__.py"),
+    ids=lambda p: p.stem,
+)
+def test_module_uses_every_name_it_imports(path):
+    tree = ast.parse(path.read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {alias.asname or alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            imported |= {(alias.asname or alias.name).split(".")[0] for alias in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert not imported - used, sorted(imported - used)
+
+
+def test_importing_the_cli_does_not_load_the_process_pool():
+    code = "import sys, petrie.cli; print('concurrent.futures' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"

@@ -1,18 +1,16 @@
 import random
 
-import pytest
+from helpers import det_over_oracle
 
 from petrie import (
     BlockViolation,
     SchurExpansion,
     k_core,
     modular_schur_expansion,
-    monomial_to_schur,
     partitions_of,
     petrie_schur_expansion,
     transition_matrix,
 )
-from petrie.modular_schur import _det_monomial_vector
 
 # degree-4 matrix in block-grouped index order {(4),(2,2),(1^4),(3,1),(2,1,1)}
 BLOCK_ORDER = [(4,), (2, 2), (1, 1, 1, 1), (3, 1), (2, 1, 1)]
@@ -35,11 +33,15 @@ class TestModularSchurExpansion:
         )
         assert modular_schur_expansion(3, (3, 1)) == SchurExpansion(4, {(3, 1): 1})
 
-    def test_single_row_is_petrie_expansion(self):
-        assert modular_schur_expansion(4, (8,)) == petrie_schur_expansion(4, 8)
-
     def test_empty_partition(self):
         assert modular_schur_expansion(3, ()) == SchurExpansion(0, {(): 1})
+
+    def test_single_row_is_petrie_expansion(self):
+        # The power-sum route never uses Grinberg's sign, so this row is an
+        # independent check of G(k, m).
+        for k in range(1, 9):
+            for m in range(17):
+                assert modular_schur_expansion(k, (m,)) == petrie_schur_expansion(k, m)
 
     def test_single_row_coefficients_are_signs(self):
         for k in range(1, 6):
@@ -55,8 +57,8 @@ class TestModularSchurExpansion:
             k = rng.randint(1, 5)
             lam = rng.choice(partitions_of(m))
             pad = rng.randint(1, 3)
-            base = _det_monomial_vector(k, lam)
-            padded = _det_monomial_vector(k, lam + (0,) * pad)
+            base = det_over_oracle(k, lam)
+            padded = det_over_oracle(k, lam + (0,) * pad)
             assert base == padded, (k, lam, pad)
             cases += 1
 
@@ -83,9 +85,17 @@ class TestTransitionMatrix:
         assert matrix.order == ((3,), (2, 1), (1, 1, 1))
         assert matrix.blocks == {(1,): (0, 2), (2, 1): (1,)}
         for lam in matrix.order:
-            row = monomial_to_schur(_det_monomial_vector(2, lam))
+            row = det_over_oracle(2, lam)
             for mu in matrix.order:
                 assert matrix.entry(lam, mu) == row.coefficient(mu)
+
+    def test_rows_match_determinant_over_oracle(self):
+        for k in range(1, 6):
+            for m in range(10):
+                matrix = transition_matrix(k, m)
+                for lam, row in zip(matrix.order, matrix.entries):
+                    expected = det_over_oracle(k, lam)
+                    assert row == tuple(expected.coefficient(mu) for mu in matrix.order)
 
     def test_first_row_consistency(self):
         for k in range(1, 5):
