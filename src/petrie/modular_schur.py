@@ -105,9 +105,6 @@ class TransitionMatrix:
         j = self.order.index(as_partition(mu))
         return self.entries[i][j]
 
-    def row(self, lam: Partition) -> tuple[int, ...]:
-        return self.entries[self.order.index(as_partition(lam))]
-
     def _block_order(self) -> list[Partition]:
         return sorted(self.blocks, key=lambda core: (sum(core), tuple(-p for p in core)))
 

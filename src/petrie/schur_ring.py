@@ -370,25 +370,29 @@ class SweepReport:
         return "\n".join(lines)
 
 
-def _sweep_pair(km: tuple[int, int], n_max: int):
-    """Observed and predicted verdicts for (k, m, n), n = 1..n_max, from one
-    expansion of G(k, m)."""
+def _sweep_pair(
+    km: tuple[int, int], n_max: int
+) -> tuple[list[NonSmfEntry], list[tuple[int, int, int]]]:
+    """The non-SMF entries and the disagreements for (k, m, n), n = 1..n_max,
+    from one expansion of G(k, m)."""
     k, m = km
     expansion = petrie_schur_expansion(k, m)
-    results = []
+    entries: list[NonSmfEntry] = []
+    disagreements: list[tuple[int, int, int]] = []
     for n in range(1, n_max + 1):
         verdict = is_signed_multiplicity_free(multiply_power_sum(expansion, n))
         predicted = classify_smf(k, m, n)
-        witness = None
-        if not predicted:
+        if verdict.signed_multiplicity_free != predicted:
+            disagreements.append((k, m, n))
+        elif not predicted:
             try:
                 witness = witness_non_smf(k, m, n)
             except InternalInvariantFailure:
-                witness = None
-        results.append(
-            ((k, m, n), verdict.signed_multiplicity_free, predicted, verdict.offending, witness)
-        )
-    return results
+                disagreements.append((k, m, n))
+                continue
+            offending, coeff = verdict.offending
+            entries.append(NonSmfEntry(k, m, n, offending, coeff, witness))
+    return entries, disagreements
 
 
 def sweep_smf(k_max: int, m_max: int, n_max: int, jobs: int = 1) -> SweepReport:
@@ -412,27 +416,13 @@ def sweep_smf(k_max: int, m_max: int, n_max: int, jobs: int = 1) -> SweepReport:
             per_pair = list(pool.map(task, pairs))
     else:
         per_pair = [task(km) for km in pairs]
-    results = [row for rows in per_pair for row in rows]
-
-    non_smf: list[NonSmfEntry] = []
-    disagreements: list[tuple[int, int, int]] = []
-    max_abs = 1
-    for (k, m, n), observed, predicted, offending, witness in results:
-        if observed != predicted or (not predicted and witness is None):
-            disagreements.append((k, m, n))
-            continue
-        if not predicted and offending is not None:
-            lam_off, coeff = offending
-            max_abs = max(max_abs, abs(coeff))
-            non_smf.append(
-                NonSmfEntry(k=k, m=m, n=n, offending=lam_off, coeff=coeff, witness=witness)
-            )
+    non_smf = tuple(entry for entries, _ in per_pair for entry in entries)
     return SweepReport(
         k_max=k_max,
         m_max=m_max,
         n_max=n_max,
-        triples=len(results),
-        non_smf=tuple(non_smf),
-        disagreements=tuple(disagreements),
-        max_abs_coeff=max_abs,
+        triples=len(pairs) * n_max,
+        non_smf=non_smf,
+        disagreements=tuple(triple for _, found in per_pair for triple in found),
+        max_abs_coeff=max((abs(entry.coeff) for entry in non_smf), default=1),
     )

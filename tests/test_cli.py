@@ -1,7 +1,10 @@
 import json
 import os
+import runpy
 import subprocess
 import sys
+from contextlib import redirect_stdout
+from io import StringIO
 from pathlib import Path
 
 import pytest
@@ -50,6 +53,72 @@ class TestGoldenText:
     def test_degenerate_expansions(self):
         assert run_cli(["expand", "1", "5", "--text"])[1] == "0\n"
         assert run_cli(["expand", "4", "0", "--text"])[1] == "s[]\n"
+
+    def test_worked_examples_byte_match(self):
+        script = Path(__file__).parents[1] / "scripts" / "worked_examples.py"
+        out = StringIO()
+        with redirect_stdout(out):
+            runpy.run_path(str(script), run_name="__main__")
+        assert out.getvalue() == (GOLDEN / "worked_examples.txt").read_text()
+
+
+ENVELOPES = [
+    (["expand", "2", "3"], {"k": 2, "m": 3}, "s[1,1,1]\n"),
+    (
+        ["multiply", "2", "3", "2"],
+        {"k": 2, "m": 3, "n": 2},
+        "s[3,1,1] - s[2,2,1] - s[1,1,1,1,1]\n",
+    ),
+    (
+        ["pet", "3,3,1", "4", "--method=all"],
+        {"partition": [3, 3, 1], "k": 4, "method": "all"},
+        "det=1 grinberg=1 rimhook=1\n",
+    ),
+    (
+        ["core", "3,3,2", "4", "--chain"],
+        {"partition": [3, 3, 2], "k": 4},
+        "[]\nchain: [] < [2,1,1] < [3,3,2]\nheights: 2,2\nsign: 1\n",
+    ),
+    (
+        ["classify", "3", "5", "3", "--witness"],
+        {"k": 3, "m": 5, "n": 3},
+        "non-SMF\nwitness: lambda=[2,1,1,1] mu=[2,2,1] lambda_plus=[2,2,2,2]\n",
+    ),
+    (
+        ["sweep", "3", "3", "3", "--jobs", "2"],
+        {"k_max": 3, "m_max": 3, "n_max": 3, "jobs": 2},
+        "smf sweep: k<=3 m<=3 n<=3 (36 triples)\n"
+        "non-smf k=3 m=3 n=3 offending=[2,2,2] coeff=-2"
+        " witness [1,1,1] [2,1] -> [2,2,2]\n"
+        "non-smf triples: 1\nlargest |coefficient| observed: 2\n0 disagreements\n",
+    ),
+    (
+        ["transition", "2", "3"],
+        {"k": 2, "m": 3},
+        "transition matrix k=2 m=3 (rows and columns grouped by 2-core)\n"
+        "index: [3] [1,1,1] [2,1]\n"
+        "[ 0 1 | 0 ]\n[ 1 0 | 0 ]\n-----------\n[ 0 0 | 1 ]\n",
+    ),
+    (
+        ["verify-liu-polo", "2", "3"],
+        {"k_min": 2, "k_max": 3},
+        "k=2: ok\nk=3: ok\nall identities hold\n",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, params, text", ENVELOPES, ids=[argv[0] for argv, _, _ in ENVELOPES]
+)
+def test_envelope_and_text_of_every_verb(argv, params, text):
+    code, out, err = run_cli(argv + ["--json"])
+    assert code == 0, err
+    envelope = json.loads(out)
+    assert list(envelope) == ["command", "params", "result", "format_version"]
+    assert envelope["command"] == argv[0]
+    assert list(envelope["params"].items()) == list(params.items())
+    assert envelope["format_version"] == "1.0.0"
+    assert run_cli(argv + ["--text"]) == (0, text, "")
 
 
 class TestJson:
@@ -241,6 +310,26 @@ class TestExitCodes:
         assert err.startswith("error:") and "does not exist" in err
         assert out == ""
         assert not target.parent.exists()
+
+    def test_sweep_out_directory_exits_2(self, tmp_path, monkeypatch):
+        import petrie.schur_ring as sr
+
+        def never(*args, **kwargs):
+            raise AssertionError("sweep ran before the output path was checked")
+
+        monkeypatch.setattr(sr, "sweep_smf", never)
+        code, out, err = run_cli(["sweep", "3", "4", "3", "--out", str(tmp_path)])
+        assert code == 2
+        assert err.startswith("error:") and "is a directory" in err
+        assert out == ""
+
+    def test_sweep_out_unopenable_file_exits_2(self, tmp_path):
+        # A file name longer than the file system allows: open() raises OSError.
+        target = tmp_path / ("r" * 300)
+        code, out, err = run_cli(["sweep", "3", "4", "3", "--out", str(target)])
+        assert code == 2
+        assert err.startswith("error: cannot write --out file")
+        assert out == ""
 
     def test_sweep_disagreement_exits_5(self, monkeypatch):
         import petrie.schur_ring as sr
