@@ -45,11 +45,13 @@ GRID = {
         ["4,2,2,1", "3", "--method=det"], ["4,2,2,1", "3", "--method=grinberg"],
         ["4,2,2,1", "3", "--method=rimhook"], ["4,2,2,1", "3", "--method=all"],
         ["1,3", "4"], ["3,3,1", "0"], ["1,3", "x"], ["3,3,1", "4", "--method=bogus"],
+        ["3,2,2,1,1", "4", "--method=all"], ["2,1", "1", "--method=all"],
     ],
     "core": [
         ["7,4,2,1", "6"], ["3,3,1", "3"], ["4", "3"], ["", "3", "--chain"],
         ["3,3,2", "4", "--chain"], ["7,4,2,1", "3", "--chain"],
         ["2,1", "1", "--chain"], ["2,1", "0"], ["1,3", "2"],
+        ["4,4,3,2,2,1", "3", "--chain"], ["1,1,1,1,1,1,1,1", "4", "--chain"],
     ],
     "classify": [
         ["3", "5", "3"], ["3", "5", "2"], ["2", "100", "6"],

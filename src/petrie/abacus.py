@@ -4,7 +4,8 @@ For k >= 2 a partition mu with fewer than k parts is identified with the
 (k-1)-tuple (mu_1, ..., mu_{k-1}) padded by zeros and encoded by k-1 beads
 at positions mu_i + (k-1) - i on an abacus with k runners.  Removing a rim
 hook of size k is moving one bead up one row on its runner; pushing every
-bead to the top of its runner yields the k-core.
+bead to the top of its runner yields the k-core.  The hook chain is the
+removal walk of :func:`~petrie.partitions.remove_rim_hooks`.
 """
 
 from __future__ import annotations
@@ -23,10 +24,8 @@ from .partitions import (
     as_partition,
     beta_set,
     conjugate,
-    contains,
-    is_rim_hook,
     partition_from_beta_set,
-    rim_hook_columns,
+    remove_rim_hooks,
     rim_hook_height,
 )
 
@@ -111,7 +110,7 @@ def profile(mu: Partition, k: int) -> AbacusProfile:
     padded = mu + (0,) * (k - 1 - len(mu))
     beta = tuple(padded[i] - (i + 1) for i in range(k - 1))
     gamma = tuple((b % k) or k for b in beta)
-    beta_numbers = tuple(padded[i] + k - 2 - i for i in range(k - 1))
+    beta_numbers = beta_set(mu, k - 1)
     return AbacusProfile(k=k, base=mu, beta=beta, gamma=gamma, beta_numbers=beta_numbers)
 
 
@@ -154,21 +153,15 @@ def k_core(lam: Partition, k: int) -> Partition:
 def rim_hook_sequence(lam: Partition, k: int) -> RimHookSequence:
     """Deterministic chain of size-k hook removals from ``lam`` down to its core.
 
-    At each step the movable bead with the largest position is moved up;
-    the downstream sign is choice-independent, this rule just pins one chain.
+    Each step keeps the smallest :func:`remove_rim_hooks` result, the move of
+    the largest movable bead; the sign does not depend on this choice.
     """
     lam = as_partition(lam)
     if k < 2:
         raise ValueError("rim_hook_sequence needs k >= 2")
-    beads = set(beta_set(lam, max(len(lam), 1)))
     chain = [lam]
-    while True:
-        movable = [b for b in beads if b >= k and b - k not in beads]
-        if not movable:
-            break
-        b = max(movable)
-        beads = beads - {b} | {b - k}
-        chain.append(partition_from_beta_set(beads))
+    while smaller := remove_rim_hooks(chain[-1], k):
+        chain.append(smaller[-1])
     chain.reverse()
     if chain[0] != k_core(lam, k):
         raise InternalInvariantFailure("hook chain did not terminate at the core")
@@ -188,15 +181,12 @@ def gamma_shift_on_removal(lam: Partition, mu: Partition, k: int) -> GammaShift:
         raise TooManyParts(
             f"gamma data needs first part below k; {lam} has first part {lam[0]}"
         )
-    if not contains(mu, lam):
-        raise NotASizeKRimHook(f"{mu} is not contained in {lam}")
-    shape = SkewShape(lam, mu)
-    if shape.size != k or not is_rim_hook(shape):
+    if k < 1 or mu not in remove_rim_hooks(lam, k):
         raise NotASizeKRimHook(f"{lam}/{mu} is not a rim hook of size {k}")
     p_lam = profile(conjugate(lam), k)
     p_mu = profile(conjugate(mu), k)
-    b = rim_hook_columns(shape)
-    height = rim_hook_height(shape)
+    height = rim_hook_height(SkewShape(lam, mu))
+    b = k - height
 
     beta, beta_new = p_lam.beta, p_mu.beta
     diffs = [i for i in range(k - 1) if beta[i] != beta_new[i]]

@@ -3,12 +3,12 @@
 Each returns an exact integer in {-1, 0, 1}: the coefficient of the Schur
 function s_lam in the Petrie symmetric function of matching degree.
 ``grinberg_support`` lists the nonzero ones of one degree straight off the
-abacus.
+abacus.  ``pet_det`` is the mu = () case of ``pet_generalized``.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .abacus import gammas_distinct, k_core, ninv, profile, rim_hook_sequence
 from .errors import InternalInvariantFailure
@@ -46,15 +46,12 @@ def _int_det(rows: list[list[int]]) -> int:
 
 def pet_det(lam: Partition, k: int) -> int:
     """0/1 determinant definition: det[chi(0 <= lam_i - i + j < k)]."""
-    lam = as_partition(lam)
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    n = len(lam)
-    rows = [
-        [1 if 0 <= lam[i] - (i + 1) + (j + 1) < k else 0 for j in range(n)]
-        for i in range(n)
-    ]
-    return _as_sign_or_zero(_int_det(rows))
+    return pet_generalized(lam, (), k)
+
+
+def _grinberg_sign(beta: Sequence[int], gamma: Sequence[int]) -> int:
+    exponent = sum(beta) + ninv(gamma) + sum(gamma)
+    return _as_sign_or_zero(-1 if exponent % 2 else 1)
 
 
 def pet_grinberg(lam: Partition, k: int) -> int:
@@ -73,8 +70,7 @@ def pet_grinberg(lam: Partition, k: int) -> int:
     prof = profile(conjugate(lam), k)
     if not gammas_distinct(prof):
         return 0
-    exponent = sum(prof.beta) + ninv(prof.gamma) + sum(prof.gamma)
-    return _as_sign_or_zero(-1 if exponent % 2 else 1)
+    return _grinberg_sign(prof.beta, prof.gamma)
 
 
 def _level_splits(total: int, runners: int) -> Iterator[tuple[int, ...]]:
@@ -115,8 +111,7 @@ def grinberg_support(k: int, m: int) -> Iterator[tuple[Partition, int]]:
         mu = tuple(b - (k - 2 - i) for i, (b, _) in enumerate(beads))
         beta = [b - (k - 1) for b, _ in beads]
         gamma = [r + 1 for _, r in beads]
-        exponent = sum(beta) + ninv(gamma) + sum(gamma)
-        yield _conjugate(mu), _as_sign_or_zero(-1 if exponent % 2 else 1)
+        yield _conjugate(mu), _grinberg_sign(beta, gamma)
 
 
 def pet_rimhook(lam: Partition, k: int) -> int:

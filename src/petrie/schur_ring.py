@@ -401,8 +401,8 @@ def sweep_smf(k_max: int, m_max: int, n_max: int, jobs: int = 1) -> SweepReport:
     Covers k in 1..k_max, m in 0..m_max, n in 1..n_max.  Every non-SMF
     triple also gets a constructed-and-verified witness.  G(k, m) is built
     once per (k, m) and multiplied by every p_n.  With jobs > 1 the (k, m)
-    pairs are evaluated in a process pool, one task per pair; the report is
-    identical to the sequential one.
+    pairs are evaluated in a process pool of at most min(jobs, pairs)
+    workers, one task per pair; the report is identical to the sequential one.
     """
     if k_max < 1 or m_max < 1 or n_max < 1:
         raise ValueError("sweep bounds must be >= 1")
@@ -412,7 +412,7 @@ def sweep_smf(k_max: int, m_max: int, n_max: int, jobs: int = 1) -> SweepReport:
         # Imported here: the pool pulls in multiprocessing, socket and logging.
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(pairs))) as pool:
             per_pair = list(pool.map(task, pairs))
     else:
         per_pair = [task(km) for km in pairs]

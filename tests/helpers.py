@@ -30,6 +30,7 @@ from petrie import (
     rim_hook_height,
 )
 from petrie.cli import main as cli_main
+from petrie.partitions import beta_set, partition_from_beta_set
 
 
 def run_cli(argv: list[str]) -> tuple[int, str, str]:
@@ -124,6 +125,21 @@ def exhaustive_removal_ends(lam, k) -> frozenset:
     for smaller in options:
         ends |= exhaustive_removal_ends(smaller, k)
     return frozenset(ends)
+
+
+def largest_bead_chain(lam, k) -> tuple:
+    """The chain core < ... < lam that repeatedly moves the movable bead with
+    the largest position up one row, walked on a bead set of its own."""
+    beads = set(beta_set(lam, max(len(lam), 1)))
+    chain = [lam]
+    while True:
+        movable = [b for b in beads if b >= k and b - k not in beads]
+        if not movable:
+            break
+        b = max(movable)
+        beads = beads - {b} | {b - k}
+        chain.append(partition_from_beta_set(beads))
+    return tuple(reversed(chain))
 
 
 def random_chain_sign(lam, k, rng: random.Random):

@@ -1,12 +1,13 @@
 import pytest
 from hypothesis import given
 
-from helpers import exhaustive_removal_ends, partitions_strategy
+from helpers import exhaustive_removal_ends, largest_bead_chain, partitions_strategy
 from petrie import (
     NotASizeKRimHook,
     SkewShape,
     TooManyParts,
     conjugate,
+    contains,
     gamma_shift_on_removal,
     gammas_distinct,
     is_rim_hook,
@@ -171,6 +172,12 @@ class TestRimHookSequence:
                         assert shape.size == k
                         assert is_rim_hook(shape)
 
+    def test_chain_moves_the_largest_movable_bead(self):
+        for k in range(2, 8):
+            for m in range(13):
+                for lam in partitions_of(m):
+                    assert rim_hook_sequence(lam, k).chain == largest_bead_chain(lam, k)
+
 
 class TestGammaShift:
     def test_three_column_removal(self):
@@ -216,6 +223,19 @@ class TestGammaShift:
             gamma_shift_on_removal((2, 1), (1, 1), 3)  # size-1 skew, k=3
         with pytest.raises(NotASizeKRimHook):
             gamma_shift_on_removal((2, 1, 1), (1,), 3)  # disconnected
+
+    def test_refuses_exactly_the_non_hooks_of_the_cell_model(self):
+        for k in range(2, 7):
+            for m in range(k, 11):
+                for lam in partitions_of(m, max_part=k - 1):
+                    for mu in partitions_of(m - k):
+                        hook = contains(mu, lam) and is_rim_hook(SkewShape(lam, mu))
+                        try:
+                            gamma_shift_on_removal(lam, mu, k)
+                        except NotASizeKRimHook:
+                            assert not hook, (lam, mu, k)
+                        else:
+                            assert hook, (lam, mu, k)
 
     def test_parity_law_exhaustive(self):
         # the op itself raises if the parity law fails, so this sweep is the law

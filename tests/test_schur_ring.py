@@ -341,6 +341,28 @@ class TestSweep:
     def test_parallel_equals_sequential(self):
         assert sweep_smf(4, 6, 4, jobs=2) == sweep_smf(4, 6, 4)
 
+    def test_pool_never_outnumbers_the_pairs(self, monkeypatch):
+        import concurrent.futures
+
+        requested = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        assert sweep_smf(1, 1, 1, jobs=64) == sweep_smf(1, 1, 1)
+        assert requested == [2]
+
     def test_expansion_built_once_per_k_and_m(self, monkeypatch):
         import petrie.schur_ring as sr
 
