@@ -39,6 +39,7 @@ GRID = {
         ["3", "5", "2"], ["3", "5", "3"], ["5", "8", "3"], ["1", "4", "2"],
         ["3", "5", "3", "--verify"], ["4", "6", "2", "--verify"],
         ["3", "-1", "2"], ["3", "5", "0"], ["0", "5", "2"], ["3", "5"],
+        ["7", "43", "11"],
     ],
     "pet": [
         ["3,3,1", "4"], ["3,3,1", "3"], ["", "7"], ["[3,3,1]", "4"],
@@ -66,7 +67,9 @@ GRID = {
         ["3", "5", "3", "--out", f"{OUT}/missing/report"],
         ["0", "5", "3", "--out", f"{OUT}/missing/report"],
     ],
-    "transition": [["2", "3"], ["3", "4"], ["4", "6"], ["1", "3"], ["3", "0"], ["0", "3"]],
+    "transition": [
+        ["2", "3"], ["3", "4"], ["4", "6"], ["1", "3"], ["3", "0"], ["0", "3"], ["4", "8"],
+    ],
     "verify-liu-polo": [["2", "6"], ["3", "3"], ["1", "4"], ["5", "4"]],
 }
 

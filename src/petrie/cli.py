@@ -13,6 +13,11 @@ after the output.  A handler refuses before any output by raising
 verb's operands, writes the envelope or the text to stdout or ``--out`` and
 maps exceptions to exit codes.
 
+JSON output is byte for byte ``json.dumps(envelope, indent=2)`` plus a
+newline.  Before Python 3.13 ``indent`` turns off the C encoder, so ``main``
+renders with ``_render_json``, which returns exactly that string without the
+standard library's pure-Python generators; from 3.13 on it calls ``json.dumps``.
+
 Exit codes: 0 ok, 2 bad arguments, 3 verification mismatch, evaluator
 disagreement or a failed internal invariant (a defect), 4 witness requested
 in the signed-multiplicity-free region, 5 sweep/classify disagreement with
@@ -25,6 +30,7 @@ import argparse
 import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, Callable, NamedTuple
 
 from . import abacus, modular_schur, oracle, schur_ring
@@ -53,6 +59,37 @@ class _Outcome(NamedTuple):
     result: dict[str, Any]
     text: Callable[[], str]
     failure: tuple[str, int] | None = None
+
+
+def _render_json(value: Any, pad: str = "\n") -> str:
+    """Exactly ``json.dumps(value, indent=2)``, with ``pad`` (a newline and the
+    enclosing indent) starting each line after the first.
+
+    Exact ``int``, ``str``, ``dict`` with ``str`` keys, ``list`` and ``tuple``
+    are rendered here; anything else goes to ``json.dumps``, whose newlines are
+    re-padded (JSON text holds no raw newline inside a string).
+    """
+    kind = type(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is str:
+        return _quote(value)
+    inner = pad + "  "
+    if kind is dict and value and all(type(key) is str for key in value):
+        items = [_quote(key) + ": " + _render_json(item, inner) for key, item in value.items()]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if (kind is list or kind is tuple) and value:
+        if set(map(type, value)) == {int}:  # keeps True, IntEnum and floats out
+            items = map(int.__repr__, value)
+        else:
+            items = [_render_json(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    return json.dumps(value, indent=2).replace("\n", pad)
+
+
+# Python 3.13's C encoder handles ``indent`` itself and beats ``_render_json``;
+# this choice can go once requires-python reaches 3.13.
+_RENDER_BY_HAND = sys.version_info < (3, 13)
 
 
 def _fail(message: str, code: int) -> int:
@@ -325,7 +362,10 @@ def main(argv: list[str] | None = None) -> int:
                 "result": outcome.result,
                 "format_version": FORMAT_VERSION,
             }
-            rendered = json.dumps(envelope, indent=2)
+            if _RENDER_BY_HAND:
+                rendered = _render_json(envelope)
+            else:
+                rendered = json.dumps(envelope, indent=2)
         else:
             rendered = outcome.text()
     except _Refusal as exc:

@@ -1,13 +1,18 @@
+import enum
 import json
 import os
 import runpy
 import subprocess
 import sys
+from collections import OrderedDict
 from contextlib import redirect_stdout
 from io import StringIO
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import run_cli
 from petrie import (
@@ -188,6 +193,89 @@ class TestJson:
         pooled = self._payload(["sweep", "6", "12", "8", "--json", "--jobs", "2"])
         assert pooled["result"] == sequential["result"]
         assert pooled["params"]["jobs"] == 2
+
+
+class _Level(enum.IntEnum):
+    LOW = 1
+
+
+class _Pair(NamedTuple):
+    first: int
+    rest: list
+
+
+_ODD_TEXT = 'q"uote\\back\x00\x1f\n\t\u00e9\u20ac\U0001f600\ud800'
+
+_JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=2**64, max_value=2**200),
+    st.floats(),
+    st.text(max_size=6),
+)
+
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.lists(st.integers(), max_size=5),
+        st.dictionaries(st.text(max_size=4), inner, max_size=4),
+        st.dictionaries(
+            st.one_of(st.text(max_size=2), st.integers(), st.none(), st.booleans(),
+                      st.floats(allow_nan=False)),
+            inner,
+            max_size=3,
+        ),
+    ),
+    max_leaves=24,
+)
+
+
+class TestRenderJson:
+    """``_render_json`` is called directly, so these run whichever path
+    ``main`` takes on this Python."""
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(_JSON_VALUES)
+    def test_equals_json_dumps_indent_2(self, value):
+        assert cli_mod._render_json(value) == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize("value", [
+        [1, True],
+        _Level.LOW,
+        [_Level.LOW, 2],
+        {"level": _Level.LOW},
+        _Pair(1, [2, 3]),
+        [_Pair(0, [])],
+        {1: "a", None: 2, 2.5: 0},
+        {"outer": {1: "a", None: 2, 2.5: 0}},
+        OrderedDict([("b", 1), ("a", [1, 2])]),
+        [OrderedDict(b=1)],
+        [float("nan"), float("inf"), -float("inf"), 0.5],
+        {"x": float("nan")},
+        [2**64, -(2**64) - 1, 2**200],
+        {"big": 2**100},
+        _ODD_TEXT,
+        [_ODD_TEXT, '"', "\\", "\x07", "\u00fc"],
+        {_ODD_TEXT: _ODD_TEXT},
+        {},
+        [],
+        (),
+        [[[[{}]]]],
+        {"a": {"b": {"c": {"d": []}}}},
+        [{}, [], {"e": {}}, ()],
+    ])
+    def test_edge_cases(self, value):
+        assert cli_mod._render_json(value) == json.dumps(value, indent=2)
+
+    def test_large_envelope_is_indent_2(self):
+        code, out, err = run_cli(["multiply", "7", "43", "11", "--json"])
+        assert code == 0, err
+        payload = json.loads(out)
+        assert out == json.dumps(payload, indent=2) + "\n"
+        assert len(payload["result"]["terms"]) == 5208
 
 
 class TestTextCommands:
