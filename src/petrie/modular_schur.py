@@ -90,8 +90,8 @@ class TransitionMatrix:
     """Rows expand modular Schur functions in the Schur basis.
 
     ``order`` indexes both rows and columns (canonical partition order);
-    ``blocks`` groups row indices by k-core, and no nonzero entry ever
-    crosses two blocks.
+    ``blocks`` groups row indices by k-core, in print order: by core size,
+    then largest core first.  No nonzero entry ever crosses two blocks.
     """
 
     k: int
@@ -105,9 +105,6 @@ class TransitionMatrix:
         j = self.order.index(as_partition(mu))
         return self.entries[i][j]
 
-    def _block_order(self) -> list[Partition]:
-        return sorted(self.blocks, key=lambda core: (sum(core), tuple(-p for p in core)))
-
     def to_json_dict(self) -> dict:
         return {
             "k": self.k,
@@ -115,34 +112,27 @@ class TransitionMatrix:
             "order": [list(lam) for lam in self.order],
             "entries": [list(row) for row in self.entries],
             "blocks": {
-                format_partition(core): list(self.blocks[core])
-                for core in self._block_order()
+                format_partition(core): list(rows) for core, rows in self.blocks.items()
             },
         }
 
     def to_text(self) -> str:
         """Grid with rows and columns grouped into k-core blocks."""
-        grouped: list[int] = []
-        boundaries: list[int] = []
-        for core in self._block_order():
-            grouped.extend(self.blocks[core])
-            boundaries.append(len(grouped))
-        labels = [format_partition(self.order[i]) for i in grouped]
-        width = max(
-            (len(str(self.entries[i][j])) for i in grouped for j in grouped),
-            default=1,
-        )
-        lines = [f"transition matrix k={self.k} m={self.m} (rows and columns grouped by {self.k}-core)"]
-        lines.append("index: " + " ".join(labels))
-        for pos, i in enumerate(grouped):
-            cells = []
-            for qos, j in enumerate(grouped):
-                cells.append(str(self.entries[i][j]).rjust(width))
-                if qos + 1 in boundaries[:-1]:
-                    cells.append("|")
-            lines.append("[ " + " ".join(cells) + " ]")
-            if pos + 1 in boundaries[:-1]:
+        groups = list(self.blocks.values())
+        width = max(len(str(c)) for row in self.entries for c in row)
+        labels = (format_partition(self.order[i]) for rows in groups for i in rows)
+        lines = [
+            f"transition matrix k={self.k} m={self.m}"
+            f" (rows and columns grouped by {self.k}-core)",
+            "index: " + " ".join(labels),
+        ]
+        for b, rows in enumerate(groups):
+            if b:
                 lines.append("-" * len(lines[-1]))
+            for i in rows:
+                row = self.entries[i]
+                cells = (" ".join(str(row[j]).rjust(width) for j in cols) for cols in groups)
+                lines.append("[ " + " | ".join(cells) + " ]")
         return "\n".join(lines)
 
 
@@ -168,7 +158,9 @@ def transition_matrix(k: int, m: int) -> TransitionMatrix:
                     f"entry ({lam}, {mu}) = {rows[i][j]} crosses cores"
                     f" {cores[i]} and {cores[j]} at k={k}"
                 )
+    # A stable sort puts the blocks in print order, each block's rows ascending.
+    by_core = sorted(range(len(order)), key=lambda i: (sum(cores[i]), [-p for p in cores[i]]))
     blocks: dict[Partition, tuple[int, ...]] = {}
-    for i, core in enumerate(cores):
-        blocks[core] = blocks.get(core, ()) + (i,)
+    for i in by_core:
+        blocks[cores[i]] = blocks.get(cores[i], ()) + (i,)
     return TransitionMatrix(k=k, m=m, order=order, entries=tuple(rows), blocks=blocks)

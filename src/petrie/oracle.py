@@ -19,7 +19,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import groupby
 from math import factorial, prod
-from typing import Iterator, Mapping
+from typing import Iterator
 
 from .partitions import Partition, as_partition, dominates, partitions_of
 from .schur_ring import SchurExpansion, _HomogeneousVector
@@ -29,10 +29,6 @@ class MonomialVector(_HomogeneousVector):
     """A symmetric function recorded by its monomial-basis coefficients."""
 
     __slots__ = ()
-
-    def __init__(self, degree: int, coeffs: Mapping[Partition, int]):
-        # Own __init__, as in SchurExpansion: bench/tracer.py wraps own methods only.
-        self._validate(degree, coeffs)
 
     def __repr__(self) -> str:
         return f"MonomialVector(degree={self._degree}, coeffs={self._terms!r})"

@@ -39,7 +39,7 @@ class _HomogeneousVector:
 
     __slots__ = ("_degree", "_terms")
 
-    def _validate(self, degree: int, terms: Mapping[Partition, int]) -> None:
+    def __init__(self, degree: int, terms: Mapping[Partition, int]):
         """Store ``terms`` after checking that every key is a partition of
         ``degree``; the one key rule of every public constructor."""
         if degree < 0:
@@ -95,7 +95,7 @@ class SchurExpansion(_HomogeneousVector):
 
     def __init__(self, degree: int, terms: Mapping[Partition, int]):
         # Own __init__, not the base's: bench/tracer.py wraps own methods only.
-        self._validate(degree, terms)
+        super().__init__(degree, terms)
 
     def __repr__(self) -> str:
         return f"SchurExpansion(degree={self._degree}, terms={self.to_text()!r})"
@@ -255,9 +255,18 @@ def witness_non_smf(
 ) -> tuple[Partition, Partition, Partition]:
     """Construct a verified (lam, mu, lam_plus) collision for a non-SMF triple.
 
-    The shapes use only parts 1, 2, and d = m mod k; the case split is on
-    d = 1 or not, on the parity of q = 1 + (m-d)//n, and on whether
-    r = (m-d) mod n vanishes.  The triple is verified before being returned.
+    Each shape is one part d = m mod k over a stack of twos and ones, given
+    by its ``(twos, ones)`` pair.  With q = 1 + (m-d)//n, r = (m-d) mod n
+    and t = q // 2 there are three cases, one table row each:
+
+        case            lam_plus      lam               mu
+        q even          (nt, r)       (n(t-1), n+r)     (n(t-1)+r+1+e, n-r-2-2e)
+        q odd, r = 0    (nt, n)       (n(t-1), 2n)      (nt, 0)
+        q odd, r > 0    (nt+r, n-r)   (n(t-1)+r, 2n-r)  (nt+1+e, r-2-2e)
+
+    The offset e is 1 when d = 1 and 0 otherwise: the lone part 1 joins the
+    ones, and in the first and third rows two of mu's ones merge into one
+    more two.  The triple is verified before being returned.
     """
     if classify_smf(k, m, n):
         raise PreconditionViolated(
@@ -266,36 +275,15 @@ def witness_non_smf(
     d = m % k
     r = (m - d) % n
     q = 1 + (m - d) // n
+    t = q // 2
+    e = int(d == 1)
     if q % 2 == 0:
-        t = q // 2
-        if d != 1:
-            lam_plus = _stack(d, n * t, r)
-            lam = _stack(d, n * (t - 1), n + r)
-            mu = _stack(d, n * (t - 1) + r + 1, n - r - 2)
-        else:
-            lam_plus = _stack(0, n * t, r + 1)
-            lam = _stack(0, n * (t - 1), n + r + 1)
-            mu = _stack(0, n * (t - 1) + r + 2, n - r - 3)
+        shapes = [(n * t, r), (n * (t - 1), n + r), (n * (t - 1) + r + 1 + e, n - r - 2 - 2 * e)]
+    elif r == 0:
+        shapes = [(n * t, n), (n * (t - 1), 2 * n), (n * t, 0)]
     else:
-        t = (q - 1) // 2
-        if d != 1:
-            if r == 0:
-                lam_plus = _stack(d, n * t, n)
-                lam = _stack(d, n * (t - 1), 2 * n)
-                mu = _stack(d, n * t, 0)
-            else:
-                lam_plus = _stack(d, n * t + r, n - r)
-                lam = _stack(d, n * (t - 1) + r, 2 * n - r)
-                mu = _stack(d, n * t + 1, r - 2)
-        else:
-            if r == 0:
-                lam_plus = _stack(0, n * t, n + 1)
-                lam = _stack(0, n * (t - 1), 2 * n + 1)
-                mu = _stack(0, n * t, 1)
-            else:
-                lam_plus = _stack(0, n * t + r, n - r + 1)
-                lam = _stack(0, n * (t - 1) + r, 2 * n - r + 1)
-                mu = _stack(0, n * t + 2, r - 3)
+        shapes = [(n * t + r, n - r), (n * (t - 1) + r, 2 * n - r), (n * t + 1 + e, r - 2 - 2 * e)]
+    lam_plus, lam, mu = (_stack(d - e, twos, ones + e) for twos, ones in shapes)
     verify_witness(k, n, lam, mu, lam_plus)
     return lam, mu, lam_plus
 
@@ -327,7 +315,14 @@ class NonSmfEntry:
 
 @dataclass(frozen=True)
 class SweepReport:
-    """Deterministic comparison of observed verdicts against the closed form."""
+    """Deterministic comparison of observed verdicts against the closed form.
+
+    ``max_abs_coeff`` is the largest |coefficient| among the non-SMF
+    products' *first* offending terms in canonical order (1 if there are
+    none), not the largest coefficient of any product: for (5, 20, 10) the
+    first offending coefficient is -2 while the product's largest
+    |coefficient| is 3.
+    """
 
     k_max: int
     m_max: int

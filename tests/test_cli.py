@@ -126,6 +126,19 @@ def test_envelope_and_text_of_every_verb(argv, params, text):
     assert run_cli(argv + ["--text"]) == (0, text, "")
 
 
+def test_cli_digests_match_golden():
+    # A subprocess: the script sets PETRIE_FORMAT and COLUMNS in its own environment.
+    root = Path(__file__).parents[1]
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "cli_digest.py")],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (GOLDEN / "cli_digests.txt").read_text()
+
+
 class TestJson:
     def _payload(self, argv):
         code, out, err = run_cli(argv)

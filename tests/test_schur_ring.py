@@ -1,3 +1,4 @@
+import hashlib
 from math import comb
 
 import pytest
@@ -313,6 +314,22 @@ class TestWitness:
                     lam, mu, lam_plus = witness_non_smf(k, m, n)
                     coeff = petrie_times_power_sum(k, m, n).coefficient(lam_plus)
                     assert abs(coeff) >= 2, (k, m, n)
+
+    def test_witnesses_pinned_on_a_grid(self):
+        # Every witness for k <= 10, m <= 40, n <= 16, hashed; the grid hits
+        # each case of the table, with d = 1 and without, at least 21 times.
+        triples = [
+            (k, m, n)
+            for k in range(1, 11)
+            for m in range(41)
+            for n in range(1, 17)
+            if not classify_smf(k, m, n)
+        ]
+        listing = repr([(triple, witness_non_smf(*triple)) for triple in triples])
+        assert len(triples) == 623
+        assert hashlib.sha256(listing.encode()).hexdigest() == (
+            "08b9111ca82f1f605781a832adb6160eae50e54180acc76e17a06eceff169b9f"
+        )
 
     def test_verify_rejects_bad_triples(self):
         with pytest.raises(InternalInvariantFailure):
