@@ -15,8 +15,15 @@ maps exceptions to exit codes.
 
 JSON output is byte for byte ``json.dumps(envelope, indent=2)`` plus a
 newline.  Before Python 3.13 ``indent`` turns off the C encoder, so ``main``
-renders with ``_render_json``, which returns exactly that string without the
-standard library's pure-Python generators; from 3.13 on it calls ``json.dumps``.
+renders with ``_render_json``; from 3.13 on it calls ``json.dumps``.  The
+renderer appends chunks to one list and joins it once.  A list of exact ints,
+of non-empty lists or tuples of exact ints, or of records is rendered a column
+at a time: ints by ``int.__repr__``, int lists by one ``%d`` format per length.
+Records are dicts with one shared order of ``str`` keys, each field of which,
+taken across the records, is again such a list.  Only exact types qualify,
+since ``"%d" % True`` is ``1`` where JSON says ``true``: bools, ``IntEnum``,
+``NamedTuple`` and empty containers take the generic path, and whatever the
+renderer does not know goes to ``json.dumps``.
 
 Exit codes: 0 ok, 2 bad arguments, 3 verification mismatch, evaluator
 disagreement or a failed internal invariant (a defect), 4 witness requested
@@ -31,7 +38,9 @@ import json
 import os
 import sys
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Any, Callable, NamedTuple
+from itertools import chain, repeat
+from operator import itemgetter
+from typing import Any, Callable, Iterator, NamedTuple
 
 from . import abacus, modular_schur, oracle, schur_ring
 from .errors import InternalInvariantFailure, PetrieError
@@ -61,30 +70,68 @@ class _Outcome(NamedTuple):
     failure: tuple[str, int] | None = None
 
 
-def _render_json(value: Any, pad: str = "\n") -> str:
-    """Exactly ``json.dumps(value, indent=2)``, with ``pad`` (a newline and the
-    enclosing indent) starting each line after the first.
+def _render_json(value: Any) -> str:
+    """Exactly ``json.dumps(value, indent=2)``, from chunks joined once."""
+    chunks: list[str] = []
+    _emit(value, "\n", chunks)
+    return "".join(chunks)
 
-    Exact ``int``, ``str``, ``dict`` with ``str`` keys, ``list`` and ``tuple``
-    are rendered here; anything else goes to ``json.dumps``, whose newlines are
-    re-padded (JSON text holds no raw newline inside a string).
-    """
-    kind = type(value)
+
+def _emit(value: Any, pad: str, chunks: list[str]) -> None:
+    """Append ``value`` to ``chunks``; ``pad`` is a newline and the enclosing indent."""
+    kind, inner = type(value), pad + "  "
     if kind is int:
-        return int.__repr__(value)
-    if kind is str:
-        return _quote(value)
-    inner = pad + "  "
-    if kind is dict and value and all(type(key) is str for key in value):
-        items = [_quote(key) + ": " + _render_json(item, inner) for key, item in value.items()]
-        return "{" + inner + ("," + inner).join(items) + pad + "}"
-    if (kind is list or kind is tuple) and value:
-        if set(map(type, value)) == {int}:  # keeps True, IntEnum and floats out
-            items = map(int.__repr__, value)
+        chunks.append(int.__repr__(value))
+    elif kind is str:
+        chunks.append(_quote(value))
+    elif kind is dict and value and all(type(key) is str for key in value):
+        for sep, (key, item) in zip(_seps("{", inner), value.items()):
+            chunks.append(sep + _quote(key) + ": ")
+            _emit(item, inner, chunks)
+        chunks.append(pad + "}")
+    elif (kind is list or kind is tuple) and value:
+        rows = _rows(value, inner)
+        if rows is not None:
+            chunks.extend(chain.from_iterable(zip(_seps("[", inner), rows)))
         else:
-            items = [_render_json(item, inner) for item in value]
-        return "[" + inner + ("," + inner).join(items) + pad + "]"
-    return json.dumps(value, indent=2).replace("\n", pad)
+            for sep, item in zip(_seps("[", inner), value):
+                chunks.append(sep)
+                _emit(item, inner, chunks)
+        chunks.append(pad + "]")
+    else:  # JSON text holds no raw newline inside a string, so re-padding is safe
+        chunks.append(json.dumps(value, indent=2).replace("\n", pad))
+
+
+def _seps(opener: str, pad: str) -> Iterator[str]:
+    """What goes before each item: ``opener + pad``, then ``"," + pad``."""
+    return chain((opener + pad,), repeat("," + pad))
+
+
+def _rows(items: list | tuple, pad: str) -> Iterator[str] | None:
+    """Each of ``items`` rendered at ``pad`` if they are all exact ints, all
+    int lists or all records (see the module docstring), else ``None``."""
+    kinds = set(map(type, items))
+    if kinds == {int}:
+        return map(int.__repr__, items)
+    inner = pad + "  "
+    if kinds <= {list, tuple}:
+        if not all(items) or set(map(type, chain.from_iterable(items))) != {int}:
+            return None
+        formats = {n: "[" + inner + ("," + inner).join(["%d"] * n) + pad + "]"
+                   for n in set(map(len, items))}
+        return map(str.__mod__, map(formats.__getitem__, map(len, items)), map(tuple, items))
+    if kinds != {dict} or len(keys := set(map(tuple, items))) != 1:
+        return None
+    (fields,) = keys
+    if set(map(type, fields)) != {str}:  # also refuses empty dicts
+        return None
+    parts: list[Iterator[str]] = []
+    for sep, field in zip(_seps("{", inner), fields):
+        column = _rows(list(map(itemgetter(field), items)), inner)
+        if column is None:
+            return None
+        parts += [repeat(sep + _quote(field) + ": "), column]
+    return map("".join, zip(*parts, repeat(pad + "}")))
 
 
 # Python 3.13's C encoder handles ``indent`` itself and beats ``_render_json``;

@@ -21,7 +21,7 @@ from itertools import groupby
 from math import factorial, prod
 from typing import Iterator
 
-from .partitions import Partition, as_partition, dominates, partitions_of
+from .partitions import Partition, _dominates, as_partition, partitions_of
 from .schur_ring import SchurExpansion, _HomogeneousVector
 
 
@@ -72,15 +72,16 @@ def _inner_shapes_after_strip(shape: Partition, size: int) -> Iterator[Partition
 def kostka_number(shape: Partition, content: Partition) -> int:
     """Number of semistandard tableaux of ``shape`` with exact ``content``.
 
-    Counted by peeling the largest letter off as a horizontal strip; the
-    recursion is memoized but the values still come from tableau
-    combinatorics alone.
+    Both must be canonical partitions (weakly decreasing positive parts, as
+    ``as_partition`` returns them); they are not checked.  Counted by peeling
+    the largest letter off as a horizontal strip; the recursion is memoized
+    but the values still come from tableau combinatorics alone.
     """
     if sum(shape) != sum(content):
         return 0
     if not content:
         return 1
-    if content and not dominates(shape, content):
+    if not _dominates(shape, content):
         return 0
     return sum(
         kostka_number(inner, content[:-1])

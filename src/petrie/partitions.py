@@ -10,6 +10,8 @@ descending tuple comparison).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import ge
 from typing import Iterable, Iterator, Sequence
 
 from .errors import MalformedPartition, NotARimHook, SizeMismatch
@@ -64,13 +66,14 @@ def dominates(lam: Partition, mu: Partition) -> bool:
     lam, mu = as_partition(lam), as_partition(mu)
     if sum(lam) != sum(mu):
         raise SizeMismatch(f"|{lam}| != |{mu}|")
-    total_l = total_m = 0
-    for i in range(max(len(lam), len(mu))):
-        total_l += lam[i] if i < len(lam) else 0
-        total_m += mu[i] if i < len(mu) else 0
-        if total_l < total_m:
-            return False
-    return True
+    return _dominates(lam, mu)
+
+
+def _dominates(lam: Sequence[int], mu: Sequence[int]) -> bool:
+    """:func:`dominates` of two partitions of one size, unchecked.  ``map``
+    stops at the shorter: past it, a shorter ``lam`` has every prefix sum at the
+    full size, and a longer one has already fallen below ``mu``."""
+    return all(map(ge, accumulate(lam), accumulate(mu)))
 
 
 def contains(inner: Partition, outer: Partition) -> bool:

@@ -116,6 +116,9 @@ class SchurExpansion(_HomogeneousVector):
         return "".join(chunks)
 
     def to_json_dict(self) -> dict:
+        """Partitions are copied into lists, not passed as tuples: a payload
+        must equal its own JSON round trip, since ``bench/verify.py`` compares
+        ``to_json_dict()`` with parsed output, where ``[2, 1] != (2, 1)``."""
         return {
             "degree": self._degree,
             "terms": [

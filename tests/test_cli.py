@@ -4,6 +4,7 @@ import os
 import runpy
 import subprocess
 import sys
+import tracemalloc
 from collections import OrderedDict
 from contextlib import redirect_stdout
 from io import StringIO
@@ -20,6 +21,8 @@ from petrie import (
     SchurExpansion,
     petrie_schur_expansion,
     petrie_times_power_sum,
+    profile,
+    sweep_smf,
     transition_matrix,
 )
 from petrie import cli as cli_mod
@@ -228,9 +231,28 @@ _JSON_SCALARS = st.one_of(
     st.text(max_size=6),
 )
 
+
+@st.composite
+def _records(draw, inner):
+    """Lists of dicts that share one key order, each field drawn from one kind;
+    random dicts rarely share their keys."""
+    kinds = [
+        st.integers(),
+        st.one_of(st.integers(), st.booleans()),
+        st.lists(st.integers(), max_size=3),
+        st.lists(st.integers(), min_size=1, max_size=3).map(tuple),
+        st.lists(st.one_of(st.integers(), st.booleans()), min_size=1, max_size=3),
+        inner,
+    ]
+    fields = draw(st.dictionaries(st.text(max_size=3), st.sampled_from(kinds), max_size=3))
+    record = st.tuples(*fields.values()).map(lambda values: dict(zip(fields, values)))
+    return draw(st.lists(record, min_size=1, max_size=4))
+
+
 _JSON_VALUES = st.recursive(
     _JSON_SCALARS,
     lambda inner: st.one_of(
+        _records(inner),
         st.lists(inner, max_size=4),
         st.lists(inner, max_size=4).map(tuple),
         st.lists(st.integers(), max_size=5),
@@ -279,9 +301,50 @@ class TestRenderJson:
         [[[[{}]]]],
         {"a": {"b": {"c": {"d": []}}}},
         [{}, [], {"e": {}}, ()],
+        # Lists of records, rendered a column at a time when every field qualifies.
+        [{"partition": [3, 1], "coeff": 2}],
+        [{"partition": [], "coeff": 1}, {"partition": [2], "coeff": -1}],
+        [{"p": [1], "c": 1}, {"p": [1, True], "c": 2}],
+        [{"p": [1], "c": True}, {"p": [2], "c": 1}],
+        [{"p": [1], "c": _Level.LOW}],
+        [{"p": [_Level.LOW, 2], "c": 1}],
+        [{"k": 1, "witness": {"lambda": [2, 1], "mu": [1], "lambda_plus": [3, 1]}},
+         {"k": 2, "witness": {"lambda": [4], "mu": [], "lambda_plus": [5]}}],
+        [{"k": 1, "witness": {"lambda": [2, 1], "mu": [1]}},
+         {"k": 2, "witness": {"lambda": [4], "mu": [2, 2]}}],
+        [{"a": 1, "b": [2]}, {"b": [2], "a": 1}],
+        [{1: 2}, {1: 3}],
+        [{"a": 1, None: [1]}],
+        [{"p": [2**70, -3], "c": -(2**70)}, {"p": [-1, -(2**70)], "c": 0}],
+        [{"p": (3, 1), "c": 1}, {"p": [2], "c": 1}],
+        [{"p": _Pair(1, [2]), "c": 1}],
+        [{"p": [1], "c": 1}, {"p": [3, 2, 1], "c": 2}, {"p": [5, 5], "c": -1}],
+        [{"%d": [1], "a%s": 2}, {"%d": [7, 7], "a%s": 3}],
+        [{}, {}],
+        [[3, 1], (2,), [1, 1, 1]],
+        [[3, 1], []],
     ])
     def test_edge_cases(self, value):
         assert cli_mod._render_json(value) == json.dumps(value, indent=2)
+
+    def test_rendering_memory_is_bounded(self):
+        """The fastpath anchor envelope renders with a peak of at most 2.5
+        times its output; a renderer that copies each level's string into its
+        parent's peaks above 3."""
+        envelope = {
+            "command": "multiply",
+            "params": {"k": 7, "m": 43, "n": 11, "verify": False},
+            "result": petrie_times_power_sum(7, 43, 11).to_json_dict(),
+            "format_version": cli_mod.FORMAT_VERSION,
+        }
+        tracemalloc.start()
+        try:
+            out = cli_mod._render_json(envelope)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out == json.dumps(envelope, indent=2)
+        assert peak <= 2.5 * len(out)
 
     def test_large_envelope_is_indent_2(self):
         code, out, err = run_cli(["multiply", "7", "43", "11", "--json"])
@@ -289,6 +352,21 @@ class TestRenderJson:
         payload = json.loads(out)
         assert out == json.dumps(payload, indent=2) + "\n"
         assert len(payload["result"]["terms"]) == 5208
+
+
+class TestJsonNativePayloads:
+    """Every ``to_json_dict`` payload equals its own JSON round trip: lists,
+    never tuples, so a parsed envelope compares equal to a fresh payload."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: petrie_times_power_sum(4, 9, 3),
+        lambda: sweep_smf(4, 8, 4),
+        lambda: transition_matrix(3, 5),
+        lambda: profile((4, 2), 3),
+    ], ids=["SchurExpansion", "SweepReport", "TransitionMatrix", "Profile"])
+    def test_round_trip(self, build):
+        payload = build().to_json_dict()
+        assert json.loads(json.dumps(payload)) == payload
 
 
 class TestTextCommands:
