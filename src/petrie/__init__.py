@@ -12,9 +12,7 @@ fast path against a brute-force polynomial oracle.
 
 from .abacus import (
     AbacusProfile,
-    GammaShift,
     RimHookSequence,
-    gamma_shift_on_removal,
     gammas_distinct,
     k_core,
     ninv,
@@ -26,10 +24,8 @@ from .errors import (
     InternalInvariantFailure,
     MalformedPartition,
     NotARimHook,
-    NotASizeKRimHook,
     PetrieError,
     PreconditionViolated,
-    SizeMismatch,
     TooManyParts,
 )
 from .modular_schur import TransitionMatrix, modular_schur_expansion, transition_matrix
@@ -49,13 +45,11 @@ from .partitions import (
     as_partition,
     conjugate,
     contains,
-    dominates,
     format_partition,
     is_rim_hook,
     parse_partition,
     partitions_of,
     remove_rim_hooks,
-    rim_hook_columns,
     rim_hook_height,
 )
 from .petrie_numbers import pet_det, pet_generalized, pet_grinberg, pet_rimhook

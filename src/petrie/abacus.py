@@ -13,17 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import (
-    InternalInvariantFailure,
-    NotASizeKRimHook,
-    TooManyParts,
-)
+from .errors import InternalInvariantFailure, TooManyParts
 from .partitions import (
     Partition,
     SkewShape,
     as_partition,
     beta_set,
-    conjugate,
     partition_from_beta_set,
     remove_rim_hooks,
     rim_hook_height,
@@ -82,22 +77,6 @@ class RimHookSequence:
         for h in self.heights():
             sign *= -1 if h % 2 == 0 else 1
         return sign
-
-
-@dataclass(frozen=True)
-class GammaShift:
-    """How removing one size-k rim hook rewrites a gamma sequence.
-
-    The gamma sequence of the smaller partition's conjugate equals the old
-    one with the block starting at ``position`` (1-based) of length
-    ``cycle_length`` cyclically shifted.  ``parity`` is the mod-2 sum of the
-    two non-inversion counts and always equals (k + height + 1) mod 2.
-    """
-
-    position: int
-    cycle_length: int
-    parity: int
-    height: int
 
 
 def profile(mu: Partition, k: int) -> AbacusProfile:
@@ -166,42 +145,3 @@ def rim_hook_sequence(lam: Partition, k: int) -> RimHookSequence:
     if chain[0] != k_core(lam, k):
         raise InternalInvariantFailure("hook chain did not terminate at the core")
     return RimHookSequence(k=k, chain=tuple(chain))
-
-
-def gamma_shift_on_removal(lam: Partition, mu: Partition, k: int) -> GammaShift:
-    """Cycle data relating gamma(lam^c) and gamma(mu^c) when lam/mu is a k-hook.
-
-    Requires lam_1 < k.  The beta sequence of mu's conjugate is the one of
-    lam's conjugate with one block cyclically shifted and the leading entry
-    dropped by k; the returned parity is (ninv + ninv') mod 2 and is checked
-    against (k + height + 1) mod 2 before returning.
-    """
-    lam, mu = as_partition(lam), as_partition(mu)
-    if lam and lam[0] >= k:
-        raise TooManyParts(
-            f"gamma data needs first part below k; {lam} has first part {lam[0]}"
-        )
-    if k < 1 or mu not in remove_rim_hooks(lam, k):
-        raise NotASizeKRimHook(f"{lam}/{mu} is not a rim hook of size {k}")
-    p_lam = profile(conjugate(lam), k)
-    p_mu = profile(conjugate(mu), k)
-    height = rim_hook_height(SkewShape(lam, mu))
-    b = k - height
-
-    beta, beta_new = p_lam.beta, p_mu.beta
-    diffs = [i for i in range(k - 1) if beta[i] != beta_new[i]]
-    if not diffs:
-        raise InternalInvariantFailure("removal left the beta sequence unchanged")
-    i = diffs[0]
-    expected = beta[:i] + beta[i + 1 : i + b] + (beta[i] - k,) + beta[i + b :]
-    if beta_new != expected:
-        raise InternalInvariantFailure(
-            f"beta pattern mismatch removing {lam}/{mu}: {beta_new} != {expected}"
-        )
-
-    parity = (ninv(p_lam.gamma) + ninv(p_mu.gamma)) % 2
-    if parity != (k + height + 1) % 2:
-        raise InternalInvariantFailure(
-            f"parity law failed for {lam}/{mu} at k={k}"
-        )
-    return GammaShift(position=i + 1, cycle_length=b, parity=parity, height=height)

@@ -9,16 +9,8 @@ class MalformedPartition(PetrieError):
     """Input does not describe a partition (weakly decreasing positive parts)."""
 
 
-class SizeMismatch(PetrieError):
-    """Two partitions were expected to have the same size."""
-
-
 class NotARimHook(PetrieError):
     """Skew shape is not a rim hook (edge-connected, no 2x2 block)."""
-
-
-class NotASizeKRimHook(PetrieError):
-    """Skew shape is not a rim hook of the required size."""
 
 
 class TooManyParts(PetrieError):

@@ -14,7 +14,7 @@ from itertools import accumulate
 from operator import ge
 from typing import Iterable, Iterator, Sequence
 
-from .errors import MalformedPartition, NotARimHook, SizeMismatch
+from .errors import MalformedPartition, NotARimHook
 
 Partition = tuple[int, ...]
 
@@ -61,18 +61,11 @@ def _conjugate(lam: Sequence[int]) -> Partition:
     return tuple(sum(1 for p in lam if p >= i) for i in range(1, lam[0] + 1))
 
 
-def dominates(lam: Partition, mu: Partition) -> bool:
-    """Dominance order: every prefix sum of ``lam`` >= the one of ``mu``."""
-    lam, mu = as_partition(lam), as_partition(mu)
-    if sum(lam) != sum(mu):
-        raise SizeMismatch(f"|{lam}| != |{mu}|")
-    return _dominates(lam, mu)
-
-
 def _dominates(lam: Sequence[int], mu: Sequence[int]) -> bool:
-    """:func:`dominates` of two partitions of one size, unchecked.  ``map``
-    stops at the shorter: past it, a shorter ``lam`` has every prefix sum at the
-    full size, and a longer one has already fallen below ``mu``."""
+    """Dominance order on two partitions of one size, unchecked: every prefix
+    sum of ``lam`` is >= the one of ``mu``.  ``map`` stops at the shorter: past
+    it, a shorter ``lam`` has every prefix sum at the full size, and a longer
+    one has already fallen below ``mu``."""
     return all(map(ge, accumulate(lam), accumulate(mu)))
 
 
@@ -137,13 +130,6 @@ def rim_hook_height(shape: SkewShape) -> int:
     if not is_rim_hook(shape):
         raise NotARimHook(f"{shape.outer}/{shape.inner} is not a rim hook")
     return len({r for r, _ in shape.cells()}) - 1
-
-
-def rim_hook_columns(shape: SkewShape) -> int:
-    """Number of occupied columns; for a rim hook, columns + height = size."""
-    if not is_rim_hook(shape):
-        raise NotARimHook(f"{shape.outer}/{shape.inner} is not a rim hook")
-    return len({c for _, c in shape.cells()})
 
 
 def beta_set(lam: Partition, n_beads: int) -> tuple[int, ...]:

@@ -127,13 +127,6 @@ class SchurExpansion(_HomogeneousVector):
             ],
         }
 
-    @classmethod
-    def from_json_dict(cls, payload: dict) -> "SchurExpansion":
-        return cls(
-            payload["degree"],
-            {tuple(t["partition"]): t["coeff"] for t in payload["terms"]},
-        )
-
 
 @dataclass(frozen=True)
 class SmfVerdict:

@@ -19,13 +19,16 @@ from petrie import (
     MonomialVector,
     SchurExpansion,
     SkewShape,
+    conjugate,
     contains,
     is_rim_hook,
     monomial_to_schur,
+    ninv,
     partitions_of,
     pet_grinberg,
     petrie_monomial_vector,
     poly_multiply_extract,
+    profile,
     remove_rim_hooks,
     rim_hook_height,
 )
@@ -42,6 +45,13 @@ def run_cli(argv: list[str]) -> tuple[int, str, str]:
         except SystemExit as exc:
             code = exc.code if isinstance(exc.code, int) else 0
     return code, out.getvalue(), err.getvalue()
+
+
+def expansion_from_json(payload: dict) -> SchurExpansion:
+    """Read a ``SchurExpansion.to_json_dict`` payload back, validated."""
+    return SchurExpansion(
+        payload["degree"], {tuple(t["partition"]): t["coeff"] for t in payload["terms"]}
+    )
 
 
 def partitions_strategy(max_size: int = 8, max_part: int = 8):
@@ -113,6 +123,61 @@ def filter_remove_rim_hooks(lam, n):
         for small in partitions_of(total)
         if contains(small, lam) and is_rim_hook(SkewShape(lam, small))
     ]
+
+
+def dominates(lam, mu) -> bool:
+    """Dominance order by explicit prefix sums over the longer length."""
+    return all(sum(lam[:i]) >= sum(mu[:i]) for i in range(1, max(len(lam), len(mu)) + 1))
+
+
+def rim_hook_columns(shape: SkewShape) -> int:
+    """Occupied columns; for a rim hook, columns + height = size."""
+    return len({c for _, c in shape.cells()})
+
+
+def removal_shift(lam, mu, k):
+    """The gamma-shift lemma for removing the size-k rim hook lam/mu, lam_1 < k.
+
+    Asserts that the beta sequence of mu's conjugate is the one of lam's with
+    the block at the first changed index i, of length k - height, cyclically
+    shifted and its leading entry dropped by k, and that the mod-2 sum of the
+    two gamma non-inversion counts is (k + height + 1) mod 2.  Returns
+    ``(position, cycle_length, parity, height)``, position 1-based.
+    """
+    p_lam, p_mu = profile(conjugate(lam), k), profile(conjugate(mu), k)
+    height = rim_hook_height(SkewShape(lam, mu))
+    b = k - height
+    beta, beta_new = p_lam.beta, p_mu.beta
+    i = next(i for i in range(k - 1) if beta[i] != beta_new[i])
+    expected = beta[:i] + beta[i + 1 : i + b] + (beta[i] - k,) + beta[i + b :]
+    assert beta_new == expected, (lam, mu, k)
+    parity = (ninv(p_lam.gamma) + ninv(p_mu.gamma)) % 2
+    assert parity == (k + height + 1) % 2, (lam, mu, k)
+    return i + 1, b, parity, height
+
+
+def addition_shift(lam, big, k, n):
+    """The addition side for the size-n rim hook big/lam, big_1 < k.
+
+    Asserts that the beta sequence of big's conjugate is the one of lam's
+    with beta[j+a-1] + n inserted at some slot j, a the hook's column count,
+    that the new gamma entry, at the first such slot, is the old
+    gamma[j+a-1] + n mod k, and so the old one when k | n.
+    """
+    a = rim_hook_columns(SkewShape(big, lam))
+    p_lam, p_big = profile(conjugate(lam), k), profile(conjugate(big), k)
+    beta = p_lam.beta
+    slots = [
+        j
+        for j in range(k - a)
+        if p_big.beta == beta[:j] + (beta[j + a - 1] + n,) + beta[j : j + a - 1] + beta[j + a :]
+    ]
+    assert slots, (lam, big, k, n)
+    j = slots[0]
+    gamma_star = p_big.gamma[j]
+    assert gamma_star == ((p_lam.gamma[j + a - 1] + n) % k or k), (lam, big, k, n)
+    if n % k == 0:
+        assert gamma_star == p_lam.gamma[j + a - 1], (lam, big, k, n)
 
 
 @lru_cache(maxsize=None)

@@ -1,14 +1,18 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 
-from helpers import exhaustive_removal_ends, largest_bead_chain, partitions_strategy
+from helpers import (
+    addition_shift,
+    exhaustive_removal_ends,
+    largest_bead_chain,
+    partitions_strategy,
+    removal_shift,
+)
 from petrie import (
-    NotASizeKRimHook,
     SkewShape,
     TooManyParts,
+    add_rim_hooks,
     conjugate,
-    contains,
-    gamma_shift_on_removal,
     gammas_distinct,
     is_rim_hook,
     k_core,
@@ -16,8 +20,6 @@ from petrie import (
     partitions_of,
     profile,
     remove_rim_hooks,
-    rim_hook_columns,
-    rim_hook_height,
     rim_hook_sequence,
 )
 
@@ -59,6 +61,7 @@ class TestProfile:
                         assert col == g - 1
 
     @given(partitions_strategy(max_size=6, max_part=9))
+    @settings(derandomize=True)
     def test_bead_count_law(self, lam):
         k = len(lam) + 2
         p = profile(lam, k)
@@ -181,35 +184,31 @@ class TestRimHookSequence:
 
 class TestGammaShift:
     def test_three_column_removal(self):
-        shift = gamma_shift_on_removal(
+        position, cycle_length, parity, height = removal_shift(
             (4, 3, 2, 2, 1, 1, 1), (2, 1, 1, 1, 1, 1, 1), 6
         )
-        assert shift.cycle_length == 3
-        assert shift.height == 3
-        assert shift.position == 2
-        assert shift.parity == (6 + 3 + 1) % 2 == 0
+        assert cycle_length == 3
+        assert height == 3
+        assert position == 2
+        assert parity == (6 + 3 + 1) % 2 == 0
 
     def test_two_column_removal(self):
-        shift = gamma_shift_on_removal((4, 3, 2, 2, 1, 1, 1), (4, 3, 1), 6)
-        assert shift.cycle_length == 2
-        assert shift.height == 4
-        assert shift.position == 1
-        assert shift.parity == (6 + 4 + 1) % 2 == 1
+        position, cycle_length, parity, height = removal_shift(
+            (4, 3, 2, 2, 1, 1, 1), (4, 3, 1), 6
+        )
+        assert cycle_length == 2
+        assert height == 4
+        assert position == 1
+        assert parity == (6 + 4 + 1) % 2 == 1
 
     def test_whole_partition_hooks(self):
         # smallest shapes where the hook is the entire diagram
-        shift = gamma_shift_on_removal((1, 1), (), 2)
-        assert shift.height == 1
-        assert shift.parity == (2 + 1 + 1) % 2 == 0
-        shift = gamma_shift_on_removal((2, 1), (), 3)
-        assert shift.height == 1
-        assert shift.parity == (3 + 1 + 1) % 2 == 1
-
-    def test_first_part_at_k_rejected(self):
-        # a single-row hook of size k forces the first part to reach k, which
-        # is outside the gamma encoding's domain
-        with pytest.raises(TooManyParts):
-            gamma_shift_on_removal((3,), (), 3)
+        _, _, parity, height = removal_shift((1, 1), (), 2)
+        assert height == 1
+        assert parity == (2 + 1 + 1) % 2 == 0
+        _, _, parity, height = removal_shift((2, 1), (), 3)
+        assert height == 1
+        assert parity == (3 + 1 + 1) % 2 == 1
 
     def test_ninv_deltas_from_worked_example(self):
         lam = (4, 3, 2, 2, 1, 1, 1)
@@ -218,68 +217,25 @@ class TestGammaShift:
         assert ninv(profile(conjugate((2, 1, 1, 1, 1, 1, 1)), 6).gamma) == base - 2
         assert ninv(profile(conjugate((4, 3, 1)), 6).gamma) == base + 1
 
-    def test_rejects_wrong_size(self):
-        with pytest.raises(NotASizeKRimHook):
-            gamma_shift_on_removal((2, 1), (1, 1), 3)  # size-1 skew, k=3
-        with pytest.raises(NotASizeKRimHook):
-            gamma_shift_on_removal((2, 1, 1), (1,), 3)  # disconnected
-
-    def test_refuses_exactly_the_non_hooks_of_the_cell_model(self):
-        for k in range(2, 7):
-            for m in range(k, 11):
-                for lam in partitions_of(m, max_part=k - 1):
-                    for mu in partitions_of(m - k):
-                        hook = contains(mu, lam) and is_rim_hook(SkewShape(lam, mu))
-                        try:
-                            gamma_shift_on_removal(lam, mu, k)
-                        except NotASizeKRimHook:
-                            assert not hook, (lam, mu, k)
-                        else:
-                            assert hook, (lam, mu, k)
-
     def test_parity_law_exhaustive(self):
-        # the op itself raises if the parity law fails, so this sweep is the law
+        # removal_shift asserts the beta pattern and the parity law itself
         for k in range(2, 6):
             for m in range(k, 10):
                 for lam in partitions_of(m, max_part=k - 1):
                     for mu in remove_rim_hooks(lam, k):
-                        shift = gamma_shift_on_removal(lam, mu, k)
-                        assert shift.parity == (k + shift.height + 1) % 2
-
-
-def _find_addition_shift(beta, beta_new, n, a):
-    """Locate the insertion index of the grown-bead pattern, or None."""
-    size = len(beta)
-    for j in range(size - a + 1):
-        expected = (
-            beta[:j] + (beta[j + a - 1] + n,) + beta[j : j + a - 1] + beta[j + a :]
-        )
-        if beta_new == expected:
-            return j
-    return None
+                        _, _, parity, height = removal_shift(lam, mu, k)
+                        assert parity == (k + height + 1) % 2
 
 
 class TestAdditionShift:
     def test_cycle_pattern_exhaustive(self):
         # growing by a size-n hook inserts beta[j+a-1]+n at slot j and keeps
         # everything else; the new gamma entry is the mod-k shift of the old
-        from petrie import add_rim_hooks
-
+        # (addition_shift asserts both)
         for k in range(2, 6):
             for m in range(0, 9):
                 for n in range(1, 7):
                     for lam in partitions_of(m, max_part=k - 1):
-                        p_lam = profile(conjugate(lam), k)
                         for big in add_rim_hooks(lam, n):
-                            if big[0] >= k:
-                                continue
-                            shape = SkewShape(big, lam)
-                            a = rim_hook_columns(shape)
-                            p_big = profile(conjugate(big), k)
-                            j = _find_addition_shift(p_lam.beta, p_big.beta, n, a)
-                            assert j is not None, (lam, big, k, n)
-                            gamma_star = p_big.gamma[j]
-                            expected = (p_lam.gamma[j + a - 1] + n) % k or k
-                            assert gamma_star == expected
-                            if n % k == 0:
-                                assert gamma_star == p_lam.gamma[j + a - 1]
+                            if big[0] < k:
+                                addition_shift(lam, big, k, n)

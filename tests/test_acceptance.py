@@ -8,14 +8,12 @@ import time
 from contextlib import contextmanager
 from pathlib import Path
 
-from helpers import run_cli
+from helpers import addition_shift, removal_shift, run_cli
 from petrie import (
     SchurExpansion,
     SkewShape,
     add_rim_hooks,
     classify_smf,
-    conjugate,
-    gamma_shift_on_removal,
     is_rim_hook,
     monomial_to_schur,
     partitions_of,
@@ -28,9 +26,7 @@ from petrie import (
     petrie_times_power_sum,
     poly_multiply_extract,
     power_sum_monomial_vector,
-    profile,
     remove_rim_hooks,
-    rim_hook_columns,
     rim_hook_height,
     transition_matrix,
 )
@@ -147,34 +143,15 @@ def test_criterion_7_gamma_shift_laws():
         for k in range(2, 6):
             for m in range(9):
                 for lam in partitions_of(m, max_part=k - 1):
-                    # removal side: the op itself re-checks the parity law
+                    # removal side: the beta pattern and the parity law
                     for mu in remove_rim_hooks(lam, k):
-                        shift = gamma_shift_on_removal(lam, mu, k)
-                        assert shift.parity == (k + shift.height + 1) % 2
+                        _, _, parity, height = removal_shift(lam, mu, k)
+                        assert parity == (k + height + 1) % 2
                     # addition side: inserted beta entry and new gamma value
-                    p_lam = profile(conjugate(lam), k)
                     for n in range(1, 7):
                         for big in add_rim_hooks(lam, n):
-                            if big[0] >= k:
-                                continue
-                            a = rim_hook_columns(SkewShape(big, lam))
-                            p_big = profile(conjugate(big), k)
-                            matches = []
-                            for j in range(k - 1 - a + 1):
-                                expected = (
-                                    p_lam.beta[:j]
-                                    + (p_lam.beta[j + a - 1] + n,)
-                                    + p_lam.beta[j : j + a - 1]
-                                    + p_lam.beta[j + a :]
-                                )
-                                if p_big.beta == expected:
-                                    matches.append(j)
-                            assert matches, (lam, big, k, n)
-                            j = matches[0]
-                            gamma_star = (p_lam.gamma[j + a - 1] + n) % k or k
-                            assert p_big.gamma[j] == gamma_star
-                            if n % k == 0:
-                                assert gamma_star == p_lam.gamma[j + a - 1]
+                            if big[0] < k:
+                                addition_shift(lam, big, k, n)
 
 
 def test_criterion_8_collision_structure():

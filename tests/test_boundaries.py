@@ -1,12 +1,13 @@
 """Structural guards: the names the benchmark tracer wraps, the oracle's
-independence from the fast path and from ``modular_schur``, unused imports,
-and what importing the command line loads.
+independence from the fast path and from ``modular_schur``, unused imports
+and exports, and what importing the command line loads.
 
 None of these is behaviour a result would show.  A traced name that no
 longer resolves makes ``bench/run.py --trace 1`` drop its metrics silently,
 a path that imports the one checking it would be checked against itself,
-an unused import is a leftover of deleted code, and a module loaded at
-import time is paid for by every command.
+an unused import or export is a leftover of deleted code (or code only the
+tests need), and a module loaded at import time is paid for by every
+command.
 """
 
 from __future__ import annotations
@@ -96,6 +97,32 @@ def test_module_uses_every_name_it_imports(path):
             imported |= {(alias.asname or alias.name).split(".")[0] for alias in node.names}
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert not imported - used, sorted(imported - used)
+
+
+# Exported for library callers although no module of the package calls it.
+ENTRY_POINTS = {"modular_schur_expansion"}
+
+
+def test_every_export_has_a_caller():
+    package = ROOT / "src" / "petrie"
+    init = ast.parse((package / "__init__.py").read_text())
+    exported = {
+        alias.asname or alias.name
+        for node in ast.walk(init)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    used = set()
+    for path in package.glob("*.py"):
+        if path.name != "__init__.py":
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Name):
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    used.add(node.attr)
+    traced = {attr.partition(".")[0] for _, attr in _tracer_targets()}
+    uncalled = exported - used - traced - ENTRY_POINTS
+    assert not uncalled, sorted(uncalled)
 
 
 def test_importing_the_cli_does_not_load_the_process_pool():

@@ -1,10 +1,9 @@
 import pytest
 
-from helpers import count_ssyt, literal_product
+from helpers import count_ssyt, dominates, literal_product
 from petrie import (
     MonomialVector,
     SchurExpansion,
-    dominates,
     kostka_number,
     monomial_to_schur,
     partitions_of,

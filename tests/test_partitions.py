@@ -2,29 +2,28 @@ import pytest
 from hypothesis import given, settings
 
 from helpers import (
+    dominates,
     filter_add_rim_hooks,
     filter_remove_rim_hooks,
     partition_count,
     partitions_strategy,
+    rim_hook_columns,
 )
 from petrie import (
     MalformedPartition,
     NotARimHook,
-    SizeMismatch,
     SkewShape,
     add_rim_hooks,
     conjugate,
     contains,
-    dominates,
     format_partition,
     is_rim_hook,
     parse_partition,
     partitions_of,
     remove_rim_hooks,
-    rim_hook_columns,
     rim_hook_height,
 )
-from petrie.partitions import _signed_rim_hooks
+from petrie.partitions import _dominates, _signed_rim_hooks
 
 
 class TestParse:
@@ -59,6 +58,7 @@ class TestParse:
             parse_partition("1^4")
 
     @given(partitions_strategy())
+    @settings(derandomize=True)
     def test_round_trip(self, lam):
         assert parse_partition(format_partition(lam)) == lam
 
@@ -84,23 +84,27 @@ class TestConjugate:
         assert conjugate((3, 3, 1)) == (3, 2, 2)
 
     @given(partitions_strategy())
+    @settings(derandomize=True)
     def test_involution(self, lam):
         assert conjugate(conjugate(lam)) == lam
 
 
 class TestDominance:
     def test_examples(self):
-        assert dominates((2, 1, 1), (1, 1, 1, 1))
-        assert not dominates((2, 2), (3, 1))
-        assert dominates((4, 1), (2, 2, 1))
-
-    def test_size_mismatch(self):
-        with pytest.raises(SizeMismatch):
-            dominates((2, 1), (2, 2))
+        assert _dominates((2, 1, 1), (1, 1, 1, 1))
+        assert not _dominates((2, 2), (3, 1))
+        assert _dominates((4, 1), (2, 2, 1))
 
     def test_reflexive(self):
         for lam in partitions_of(6):
-            assert dominates(lam, lam)
+            assert _dominates(lam, lam)
+
+    def test_matches_prefix_sum_reference(self):
+        # pairs of unequal length check that stopping at the shorter is exact
+        for n in range(9):
+            for lam in partitions_of(n):
+                for mu in partitions_of(n):
+                    assert _dominates(lam, mu) == dominates(lam, mu), (lam, mu)
 
 
 class TestContains:
@@ -130,8 +134,6 @@ class TestRimHooks:
     def test_not_a_rim_hook_error(self):
         with pytest.raises(NotARimHook):
             rim_hook_height(SkewShape((2, 2), ()))
-        with pytest.raises(NotARimHook):
-            rim_hook_columns(SkewShape((2, 1, 1), (1,)))
 
     def test_height_plus_columns_is_size(self):
         for m in range(1, 11):

@@ -3,7 +3,7 @@ from math import comb
 
 import pytest
 
-from helpers import reference_mn_product, scanned_petrie_expansion
+from helpers import expansion_from_json, reference_mn_product, scanned_petrie_expansion
 from petrie import (
     InternalInvariantFailure,
     MalformedPartition,
@@ -55,7 +55,7 @@ class TestSchurExpansion:
 
     def test_json_round_trip(self):
         f = petrie_schur_expansion(4, 8)
-        assert SchurExpansion.from_json_dict(f.to_json_dict()) == f
+        assert expansion_from_json(f.to_json_dict()) == f
 
 
 class TestPetrieExpansion:
