@@ -2,16 +2,17 @@
 
 Symmetric functions are held by their monomial-basis coefficients.  A
 product is read off monomial by monomial: the coefficient of x^mu in f * g
-is the sum, over every way to split the exponent vector mu into alpha plus
-mu - alpha, of f's coefficient on x^alpha times g's on x^(mu - alpha).
-Only the partition-shaped monomials x^mu are computed, since they determine
-the symmetric product.  Monomial vectors are converted to the Schur basis
-by back-substitution against Kostka numbers, which come from one route:
-the horizontal-strip recursion of ``kostka_number``.  ``MonomialVector``
-shares its base with ``SchurExpansion``; the public constructor validates
-every key, and the vectors built here use the trusted one.  None of the
-algorithms here touch the determinant, gamma, or rim-hook evaluators they
-are used to check: being plain and independent is the point.
+sums, over each term c * m_nu of the factor with fewer terms and each way
+to take an exponent vector alpha with sorted parts nu out of mu, c times the
+other factor's coefficient on x^(mu - alpha).  Only the partition-shaped
+monomials x^mu are computed, since they determine the symmetric product.
+Monomial vectors are converted to the Schur basis by back-substitution
+against Kostka numbers, which come from one route: the recursion of
+``kostka_number``, peeling the largest content part off as a horizontal
+strip.  ``MonomialVector`` shares its base with ``SchurExpansion``; vectors
+built here skip its key validation.  None of the algorithms here touch the
+determinant, gamma, or rim-hook evaluators they are used to check: the
+oracle shares no algorithm with the fast path, and that is the point.
 """
 
 from __future__ import annotations
@@ -73,9 +74,11 @@ def kostka_number(shape: Partition, content: Partition) -> int:
     """Number of semistandard tableaux of ``shape`` with exact ``content``.
 
     Both must be canonical partitions (weakly decreasing positive parts, as
-    ``as_partition`` returns them); they are not checked.  Counted by peeling
-    the largest letter off as a horizontal strip; the recursion is memoized
-    but the values still come from tableau combinatorics alone.
+    ``as_partition`` returns them); they are not checked.  The count does
+    not depend on the order of the content (Bender-Knuth involutions), so
+    the largest letter is given multiplicity ``content[0]`` and peeled off
+    first as a horizontal strip, leaving the partition ``content[1:]``.  The
+    recursion is memoized but the values come from tableau combinatorics.
     """
     if sum(shape) != sum(content):
         return 0
@@ -84,8 +87,8 @@ def kostka_number(shape: Partition, content: Partition) -> int:
     if not _dominates(shape, content):
         return 0
     return sum(
-        kostka_number(inner, content[:-1])
-        for inner in _inner_shapes_after_strip(shape, content[-1])
+        kostka_number(inner, content[1:])
+        for inner in _inner_shapes_after_strip(shape, content[0])
     )
 
 
@@ -121,55 +124,57 @@ def _run_lengths(seq) -> list[int]:
     return [len(list(run)) for _, run in groupby(seq)]
 
 
-def _splits(mu: Partition, size: int) -> Iterator[tuple[Partition, Partition, int]]:
-    """Split the monomial x^mu as x^alpha * x^(mu - alpha) with |alpha| = size.
+def _splits(mu: Partition, nu: Partition) -> list[tuple[Partition, int]]:
+    """The pairs (sort(mu - alpha), count) over exponent vectors 0 <= alpha <= mu
+    whose nonzero entries are the parts of ``nu``.
 
-    Yields (sort(alpha), sort(mu - alpha), count) over the exponent vectors
-    0 <= alpha <= mu.  Vectors that differ only by permuting positions where
-    mu has equal parts give the same pair, so only the one weakly decreasing
-    on each run of equal parts is visited, and ``count`` is the number of
-    vectors it stands for.
+    The parts still to place are a multiset in a plain dict; each position of
+    mu tries 0 and every distinct unused part that fits.  Permuting positions
+    where mu has equal parts gives the same pair, so only the alpha weakly
+    decreasing on each run is visited; ``count`` is how many it stands for.
     """
-    room = [0] * (len(mu) + 1)
-    for i in range(len(mu) - 1, -1, -1):
-        room[i] = room[i + 1] + mu[i]
     orderings = prod(map(factorial, _run_lengths(mu)))
+    unused = {part: len(list(run)) for part, run in groupby(nu)}
+    out: list[tuple[Partition, int]] = []
 
-    def rec(i: int, left: int, alpha: list[int]):
-        if i == len(mu):
-            beta = [part - e for part, e in zip(mu, alpha)]
-            yield (
-                tuple(sorted((e for e in alpha if e), reverse=True)),
-                tuple(sorted((e for e in beta if e), reverse=True)),
-                orderings // prod(map(factorial, _run_lengths(zip(mu, alpha)))),
-            )
-            return
-        top = min(mu[i], left)
-        if i and mu[i] == mu[i - 1]:
-            top = min(top, alpha[-1])
-        for e in range(top, max(0, left - room[i + 1]) - 1, -1):
-            yield from rec(i + 1, left - e, alpha + [e])
+    def rec(i: int, left: int, alpha: tuple[int, ...]) -> None:
+        if not left:
+            alpha += (0,) * (len(mu) - i)
+            beta = sorted((p - e for p, e in zip(mu, alpha) if p != e), reverse=True)
+            count = orderings // prod(map(factorial, _run_lengths(zip(mu, alpha))))
+            out.append((tuple(beta), count))
+        # mu only decreases, so an unused part larger than mu[i] fits nowhere.
+        elif len(mu) - i >= left and max(unused) <= mu[i]:
+            top = alpha[-1] if i and mu[i] == mu[i - 1] else mu[i]
+            for e in [v for v in unused if v <= top] + [0]:
+                if e and (rest := unused.pop(e) - 1):
+                    unused[e] = rest
+                rec(i + 1, left - (e > 0), alpha + (e,))
+                if e:
+                    unused[e] = unused.get(e, 0) + 1
 
-    yield from rec(0, size, [])
+    rec(0, len(nu), ())
+    return out
 
 
 def poly_multiply_extract(f: MonomialVector, g: MonomialVector) -> MonomialVector:
     """Monomial-basis coefficients of the product f * g.
 
     The product is symmetric, so it is determined by its coefficients on the
-    monomials x^mu with mu a partition of d = deg(f) + deg(g).  Each one is
-    read off directly: [x^mu](f g) is the sum of f[sort(alpha)] *
-    g[sort(mu - alpha)] over the exponent vectors 0 <= alpha <= mu with
-    |alpha| = deg(f), where f[nu] is f's coefficient on m_nu.  Coefficients
-    are exact Python integers throughout, so the arithmetic cannot overflow.
+    monomials x^mu with mu a partition of d = deg(f) + deg(g).  The product
+    commutes, so f is made the factor with fewer terms, and [x^mu](f g) is
+    the sum, over f's terms c * m_nu and the exponent vectors alpha <= mu
+    with sort(alpha) = nu, of c * g[sort(mu - alpha)]: for f = p_n, one alpha
+    per distinct part >= n of mu.  Coefficients are exact Python integers.
     """
-    degree = f.degree + g.degree
-    f_coeffs, g_coeffs = f._terms, g._terms
-    coeffs: dict[Partition, int] = {}
-    if f_coeffs and g_coeffs:
-        for mu in partitions_of(degree):
-            coeffs[mu] = sum(
-                count * f_coeffs.get(alpha, 0) * g_coeffs.get(beta, 0)
-                for alpha, beta, count in _splits(mu, f.degree)
-            )
+    if len(f) > len(g):
+        f, g = g, f
+    degree, g_coeffs = f.degree + g.degree, g._terms
+    coeffs = {
+        mu: sum(
+            c * sum(count * g_coeffs.get(beta, 0) for beta, count in _splits(mu, nu))
+            for nu, c in f._terms.items()
+        )
+        for mu in (partitions_of(degree) if f._terms else ())
+    }
     return MonomialVector._from_canonical(degree, coeffs.items())

@@ -311,6 +311,24 @@ def literal_product(f: MonomialVector, g: MonomialVector) -> MonomialVector:
     )
 
 
+def power_sum_product_reference(n: int, g: MonomialVector) -> MonomialVector:
+    """p_n * g by the power-sum rule: [x^mu](p_n g) is the sum, over the
+    distinct parts v >= n of mu, of mult_mu(v) times g's coefficient on mu
+    with one part v lowered by n (and re-sorted)."""
+    degree = n + g.degree
+    g_coeffs = dict(g.items())
+    coeffs = {}
+    for mu in partitions_of(degree):
+        coeffs[mu] = 0
+        for v in set(mu):
+            if v >= n:
+                rest = list(mu)
+                rest[rest.index(v)] = v - n
+                lowered = tuple(sorted((e for e in rest if e), reverse=True))
+                coeffs[mu] += mu.count(v) * g_coeffs.get(lowered, 0)
+    return MonomialVector(degree, coeffs)
+
+
 @lru_cache(maxsize=None)
 def _petrie_product(k: int, degrees: tuple[int, ...]) -> MonomialVector:
     """The product of G(k, d) over ``degrees`` by the polynomial oracle."""

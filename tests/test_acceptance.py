@@ -13,8 +13,6 @@ from petrie import (
     SchurExpansion,
     SkewShape,
     add_rim_hooks,
-    classify_smf,
-    is_rim_hook,
     monomial_to_schur,
     partitions_of,
     pet_det,

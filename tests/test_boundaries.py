@@ -1,6 +1,7 @@
 """Structural guards: the names the benchmark tracer wraps, the oracle's
 independence from the fast path and from ``modular_schur``, unused imports
-and exports, and what importing the command line loads.
+(in the package and in the tests) and exports, and what importing the
+command line loads.
 
 None of these is behaviour a result would show.  A traced name that no
 longer resolves makes ``bench/run.py --trace 1`` drop its metrics silently,
@@ -84,8 +85,9 @@ def test_modular_schur_imports_nothing_from_the_oracle():
 
 @pytest.mark.parametrize(
     "path",
-    sorted(p for p in (ROOT / "src" / "petrie").glob("*.py") if p.name != "__init__.py"),
-    ids=lambda p: p.stem,
+    sorted(p for p in (ROOT / "src" / "petrie").glob("*.py") if p.name != "__init__.py")
+    + sorted((ROOT / "tests").glob("*.py")),
+    ids=lambda p: p.stem if p.parent.name == "petrie" else f"tests/{p.stem}",
 )
 def test_module_uses_every_name_it_imports(path):
     tree = ast.parse(path.read_text())

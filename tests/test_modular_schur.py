@@ -3,7 +3,6 @@ import random
 from helpers import det_over_oracle
 
 from petrie import (
-    BlockViolation,
     SchurExpansion,
     k_core,
     modular_schur_expansion,

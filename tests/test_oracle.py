@@ -1,6 +1,6 @@
 import pytest
 
-from helpers import count_ssyt, dominates, literal_product
+from helpers import count_ssyt, dominates, literal_product, power_sum_product_reference
 from petrie import (
     MonomialVector,
     SchurExpansion,
@@ -78,6 +78,14 @@ class TestKostka:
             for shape in partitions_of(degree):
                 for content in partitions_of(degree):
                     assert kostka_number(shape, content) == count_ssyt(shape, content)
+
+    def test_content_order_does_not_matter(self):
+        # kostka_number peels content[0] first, which relies on this symmetry;
+        # count_ssyt fills cells by brute force and does not assume it.
+        for degree in range(9):
+            for shape in partitions_of(degree):
+                for content in partitions_of(degree):
+                    assert kostka_number(shape, content) == count_ssyt(shape, content[::-1])
 
     def test_unitriangular(self):
         for degree in range(11):
@@ -174,6 +182,32 @@ class TestAgainstLiteralProduct:
     def test_reference_multiplies_literally(self):
         e1 = MonomialVector(1, {(1,): 1})
         assert literal_product(e1, e1) == MonomialVector(2, {(2,): 1, (1, 1): 2})
+
+
+class TestAgainstPowerSumReference:
+    """p_n times every Petrie vector at product degrees 8-12 and every Schur
+    vector at 8-10, beyond the literal product's reach, in both argument
+    orders so that the swap to the factor with fewer terms is exercised."""
+
+    @pytest.mark.parametrize("total", range(8, 13))
+    def test_power_sum_times_petrie_and_schur(self, total):
+        for n in range(1, total + 1):
+            m = total - n
+            factors = [petrie_monomial_vector(k, m) for k in range(1, m + 2)]
+            if total <= 10:
+                factors += [schur_monomial_vector(lam) for lam in partitions_of(m)]
+            p_n = power_sum_monomial_vector(n)
+            for g in factors:
+                expected = power_sum_product_reference(n, g)
+                assert poly_multiply_extract(p_n, g) == expected
+                assert poly_multiply_extract(g, p_n) == expected
+
+    def test_reference_matches_literal_product(self):
+        for total in range(1, 7):
+            for n in range(1, total + 1):
+                for g in _small_vectors(total - n):
+                    expected = literal_product(power_sum_monomial_vector(n), g)
+                    assert power_sum_product_reference(n, g) == expected
 
 
 class TestOracleEquivalence:

@@ -1,7 +1,5 @@
 import random
 
-import pytest
-
 from helpers import random_chain_sign
 from petrie import (
     k_core,
