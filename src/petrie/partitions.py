@@ -1,10 +1,16 @@
 """Integer partitions, skew shapes, and rim hooks.
 
 A partition is a plain tuple of weakly decreasing positive integers; the
-empty tuple is the unique partition of 0.  Every function here is pure, and
-every returned list of partitions is in canonical order: graded
+empty tuple is the unique partition of 0.  Every public function here is
+pure, and every returned list of partitions is in canonical order: graded
 reverse-lexicographic, largest first (for equal sizes this is plain
 descending tuple comparison).
+
+Rim hooks are added by one bead rule, :func:`_add_signed_rim_hooks`, on
+bead views built once per term for every hook size up to a ``reach``
+(:func:`_bead_views`): a scan pointer to the first bead at or below the
+target decides whether the target is occupied, and each hook's parts are
+cut from the view with slices.
 """
 
 from __future__ import annotations
@@ -155,43 +161,70 @@ def add_rim_hooks(lam: Partition, n: int) -> list[Partition]:
     """All partitions obtained from ``lam`` by adding one rim hook of size n.
 
     ``lam`` is validated once here; the additions come from the bead rule
-    of :func:`_signed_rim_hooks`, one per legal bead move b -> b+n.
+    of :func:`_add_signed_rim_hooks`, one per legal bead move b -> b+n.
     """
     lam = as_partition(lam)
     if n < 1:
         raise ValueError("hook size must be >= 1")
-    return sorted((big for big, _ in _signed_rim_hooks(lam, n)), reverse=True)
+    return sorted(_signed_rim_hooks(lam, n), reverse=True)
 
 
-def _signed_rim_hooks(lam: Partition, n: int) -> Iterator[tuple[Partition, int]]:
-    """Each ``(lam_plus, (-1)^height)`` for a rim hook of size ``n >= 1``
-    added to the canonical partition ``lam``; nothing is validated.
+_BeadView = tuple[Partition, int, list[int], tuple[int, ...]]
 
-    With L = len(lam) + n beads at lam_i + L-1-i, a bead b may move to
-    t = b+n iff t is free.  The beads from the first one below t down to
-    the one above b each slide one place down the list, so their parts
-    grow by one, and the hook's height is their number: the beads strictly
-    between b and b+n.  This is the one height rule of the fast path; the
-    cell count of :func:`rim_hook_height` is its checked definition.
+
+def _bead_views(terms: Iterable[tuple[Partition, int]], reach: int) -> list[_BeadView]:
+    """One ``(lam, coeff, beads, plus1)`` view per term, ready for rim hooks
+    of every size ``n <= reach``; nothing is validated.
+
+    With ``pad`` the parts of ``lam`` followed by ``reach`` zeros, bead i
+    sits at pad_i - i (the first-column hook lengths of :func:`beta_set`
+    lowered by len(pad) - 1, which moves no bead relative to another), and
+    ``plus1`` holds pad_i + 1.  A hook of size n moves only one of the
+    first len(lam) + n beads: every later bead b has b+n among the
+    consecutive beads of the zero parts.
     """
-    size = len(lam) + n
-    pad = lam + (0,) * n
-    beads = [pad[i] + size - 1 - i for i in range(size)]
-    occupied = set(beads)
-    j0 = 0
-    for idx, b in enumerate(beads):
-        t = b + n
-        if t in occupied:
-            continue
-        while beads[j0] > t:
-            j0 += 1
-        lam_plus = (
-            pad[:j0]
-            + (t - (size - 1 - j0),)
-            + tuple(p + 1 for p in pad[j0:idx])
-            + lam[idx + 1 :]
-        )
-        yield lam_plus, -1 if (idx - j0) % 2 else 1
+    views = []
+    for lam, coeff in terms:
+        pad = lam + (0,) * reach
+        beads = [p - i for i, p in enumerate(pad)]
+        views.append((lam, coeff, beads, tuple(p + 1 for p in pad)))
+    return views
+
+
+def _add_signed_rim_hooks(acc: dict[Partition, int], views: list[_BeadView], n: int) -> None:
+    """Add ``coeff * (-1)^height`` into ``acc`` at ``lam_plus`` for every rim
+    hook of size ``n`` added to every view's ``lam`` (views built with
+    ``reach >= n``).
+
+    A bead b may move to t = b+n iff t is free.  A scan pointer j0 walks to
+    the first bead at or below t; it only moves forward as b falls, and t is
+    occupied exactly when beads[j0] == t.  Otherwise the moved bead takes
+    slot j0 (part t + j0), and the beads from j0 down to the one above b
+    each slide one slot down, so their parts grow by one; j0 <= len(lam),
+    so the parts above it are those of ``lam``.  The hook's height is the
+    number of sliding beads: the beads strictly between b and b+n.  This is
+    the one height rule of the fast path; the cell count of
+    :func:`rim_hook_height` is its checked definition.  One partition never
+    yields two equal hooks.
+    """
+    for lam, coeff, beads, plus1 in views:
+        j0 = 0
+        for idx in range(len(lam) + n):
+            t = beads[idx] + n
+            while beads[j0] > t:
+                j0 += 1
+            if beads[j0] == t:
+                continue
+            lam_plus = lam[:j0] + (t + j0,) + plus1[j0:idx] + lam[idx + 1 :]
+            acc[lam_plus] = acc.get(lam_plus, 0) + (-coeff if (idx - j0) % 2 else coeff)
+
+
+def _signed_rim_hooks(lam: Partition, n: int) -> dict[Partition, int]:
+    """``{lam_plus: (-1)^height}`` for the rim hooks of size ``n >= 1`` added
+    to the canonical partition ``lam``; nothing is validated."""
+    acc: dict[Partition, int] = {}
+    _add_signed_rim_hooks(acc, _bead_views([(lam, 1)], n), n)
+    return acc
 
 
 def remove_rim_hooks(lam: Partition, n: int) -> list[Partition]:

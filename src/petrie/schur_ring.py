@@ -13,12 +13,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import InternalInvariantFailure, PreconditionViolated
 from .partitions import (
     Partition,
     SkewShape,
+    _add_signed_rim_hooks,
+    _bead_views,
     _signed_rim_hooks,
     as_partition,
     contains,
@@ -165,19 +167,25 @@ def multiply_power_sum(f: SchurExpansion, n: int) -> SchurExpansion:
     """Murnaghan-Nakayama product: for each term add every size-n rim hook,
     signed by (-1)^height, and combine like terms.
 
-    Hooks and signs come from the bead rule
-    (:func:`~petrie.partitions._signed_rim_hooks`): the height is the
-    number of beads strictly between b and b+n.  The keys of ``f`` were
-    validated when ``f`` was built, so neither they nor the product's keys
-    are validated again.
+    The one-``n`` case of :func:`_power_sum_products`.  Hooks and signs
+    come from the bead rule (:func:`~petrie.partitions._add_signed_rim_hooks`):
+    the height is the number of beads strictly between b and b+n.  The keys
+    of ``f`` were validated when ``f`` was built, so neither they nor the
+    product's keys are validated again.
     """
     if n < 1:
         raise ValueError("power sum index must be >= 1")
-    acc: dict[Partition, int] = {}
-    for lam, coeff in f._terms.items():
-        for lam_plus, sign in _signed_rim_hooks(lam, n):
-            acc[lam_plus] = acc.get(lam_plus, 0) + sign * coeff
-    return SchurExpansion._from_canonical(f.degree + n, acc.items())
+    return next(_power_sum_products(f, (n,)))
+
+
+def _power_sum_products(f: SchurExpansion, ns: Sequence[int]) -> Iterator[SchurExpansion]:
+    """``f * p_n`` for each ``n >= 1`` of ``ns`` in turn, from one set of
+    bead views of ``f``'s terms built for the largest ``n``."""
+    views = _bead_views(f._terms.items(), max(ns))
+    for n in ns:
+        acc: dict[Partition, int] = {}
+        _add_signed_rim_hooks(acc, views, n)
+        yield SchurExpansion._from_canonical(f.degree + n, acc.items())
 
 
 def petrie_times_power_sum(k: int, m: int, n: int) -> SchurExpansion:
@@ -233,7 +241,7 @@ def verify_witness(
             raise InternalInvariantFailure(
                 f"{lam_plus}/{small} is not a rim hook of size {n}"
             )
-        signs.append(dict(_signed_rim_hooks(shape.inner, n))[shape.outer])
+        signs.append(_signed_rim_hooks(shape.inner, n)[shape.outer])
     sign_lam, sign_mu = signs
     if sign_lam * pet_lam != sign_mu * pet_mu:
         raise InternalInvariantFailure("witness contributions do not reinforce")
@@ -365,13 +373,15 @@ def _sweep_pair(
     km: tuple[int, int], n_max: int
 ) -> tuple[list[NonSmfEntry], list[tuple[int, int, int]]]:
     """The non-SMF entries and the disagreements for (k, m, n), n = 1..n_max,
-    from one expansion of G(k, m)."""
+    from one expansion of G(k, m) and one set of its bead views, reused for
+    every p_n."""
     k, m = km
     expansion = petrie_schur_expansion(k, m)
     entries: list[NonSmfEntry] = []
     disagreements: list[tuple[int, int, int]] = []
-    for n in range(1, n_max + 1):
-        verdict = is_signed_multiplicity_free(multiply_power_sum(expansion, n))
+    products = _power_sum_products(expansion, range(1, n_max + 1))
+    for n, product in enumerate(products, 1):
+        verdict = is_signed_multiplicity_free(product)
         predicted = classify_smf(k, m, n)
         if verdict.signed_multiplicity_free != predicted:
             disagreements.append((k, m, n))
@@ -390,8 +400,9 @@ def sweep_smf(k_max: int, m_max: int, n_max: int, jobs: int = 1) -> SweepReport:
     """Compare observed and predicted SMF verdicts over a whole grid.
 
     Covers k in 1..k_max, m in 0..m_max, n in 1..n_max.  Every non-SMF
-    triple also gets a constructed-and-verified witness.  G(k, m) is built
-    once per (k, m) and multiplied by every p_n.  With jobs > 1 the (k, m)
+    triple also gets a constructed-and-verified witness.  G(k, m) and the
+    bead views of its terms are built once per (k, m), padded for hooks of
+    size n_max, and reused for every p_n.  With jobs > 1 the (k, m)
     pairs are evaluated in a process pool of at most min(jobs, pairs)
     workers, one task per pair; the report is identical to the sequential one.
     """

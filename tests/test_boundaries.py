@@ -1,11 +1,12 @@
 """Structural guards: the names the benchmark tracer wraps, the oracle's
-independence from the fast path and from ``modular_schur``, unused imports
-(in the package and in the tests) and exports, and what importing the
-command line loads.
+independence from the fast path and from ``modular_schur``, the one bead
+rule's home in ``partitions``, unused imports (in the package and in the
+tests) and exports, and what importing the command line loads.
 
 None of these is behaviour a result would show.  A traced name that no
 longer resolves makes ``bench/run.py --trace 1`` drop its metrics silently,
 a path that imports the one checking it would be checked against itself,
+a second copy of the bead rule is one the rim-hook tests do not check,
 an unused import or export is a leftover of deleted code (or code only the
 tests need), and a module loaded at import time is paid for by every
 command.
@@ -23,7 +24,7 @@ from pathlib import Path
 
 import pytest
 
-from petrie import modular_schur, oracle
+from petrie import modular_schur, oracle, schur_ring
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -73,6 +74,11 @@ def test_oracle_imports_nothing_from_the_fast_path():
                 assert not set(alias.name.split(".")) & FAST_PATH, alias.name
     for name in ("_signed_rim_hooks", "grinberg_support", "multiply_power_sum"):
         assert name not in source
+
+
+def test_schur_ring_indexes_no_bead_list():
+    # the one rim-hook height rule lives in partitions._add_signed_rim_hooks
+    assert "beads[" not in Path(schur_ring.__file__).read_text()
 
 
 def test_modular_schur_imports_nothing_from_the_oracle():

@@ -23,7 +23,12 @@ from petrie import (
     remove_rim_hooks,
     rim_hook_height,
 )
-from petrie.partitions import _dominates, _signed_rim_hooks
+from petrie.partitions import (
+    _add_signed_rim_hooks,
+    _bead_views,
+    _dominates,
+    _signed_rim_hooks,
+)
 
 
 class TestParse:
@@ -210,6 +215,20 @@ class TestAddRemove:
                     for lam_plus, sign in signed.items():
                         height = rim_hook_height(SkewShape(lam_plus, lam))
                         assert sign == (-1) ** height, (lam, n, lam_plus)
+
+    def test_views_padded_past_n_match_cell_heights(self):
+        # a view built for hooks up to `reach` serves every smaller n
+        for m in range(10):
+            for lam in partitions_of(m):
+                for n in range(1, 9):
+                    expected = {
+                        big: (-1) ** rim_hook_height(SkewShape(big, lam))
+                        for big in filter_add_rim_hooks(lam, n)
+                    }
+                    for reach in range(n, 9):
+                        signed = {}
+                        _add_signed_rim_hooks(signed, _bead_views([(lam, 1)], reach), n)
+                        assert signed == expected, (lam, n, reach)
 
 
 class TestPartitionsOf:

@@ -26,7 +26,7 @@ from petrie import (
     sweep_smf,
     witness_non_smf,
 )
-from petrie.schur_ring import verify_witness
+from petrie.schur_ring import _power_sum_products, verify_witness
 
 
 class TestSchurExpansion:
@@ -181,6 +181,14 @@ class TestMultiplyPowerSum:
                 for n in range(1, 7):
                     reference = reference_mn_product(f, n)
                     assert multiply_power_sum(f, n).items() == reference.items(), (lam, n)
+
+    def test_shared_views_match_one_product_per_n(self):
+        # views built once for n <= 8 against views built for each n alone
+        for k in range(2, 8):
+            for m in range(15):
+                f = petrie_schur_expansion(k, m)
+                shared = list(_power_sum_products(f, range(1, 9)))
+                assert shared == [multiply_power_sum(f, n) for n in range(1, 9)], (k, m)
 
     def test_cancelled_terms_are_not_stored(self):
         # s[2]*p_2 = s[4] + s[2,2] - s[2,1,1]; s[1,1]*p_2 = s[3,1] - s[2,2] - s[1,1,1,1]
