@@ -11,7 +11,8 @@ renders the text, and an optional failure ``(message, exit code)`` reported
 after the output.  A handler refuses before any output by raising
 ``_Refusal``.  Only ``main`` picks the format, builds ``params`` from the
 verb's operands, writes the envelope or the text to stdout or ``--out`` and
-maps exceptions to exit codes.
+maps exceptions to exit codes.  When the first argument names a verb, ``main``
+builds that verb's parser alone; its usage line still lists every verb.
 
 JSON output is byte for byte ``json.dumps(envelope, indent=2)`` plus a
 newline.  Before Python 3.13 ``indent`` turns off the C encoder, so ``main``
@@ -335,69 +336,84 @@ def _cmd_verify_liu_polo(args: argparse.Namespace) -> _Outcome:
     return _Outcome({"results": rows, "all_ok": all_ok}, text, failure)
 
 
-def _add_verb(sub, name, handler, help_text, operands, *flags, params=()) -> None:
-    """One verb: its operands (ints, except a partition), its ``flags`` as
-    ``(flag, add_argument keywords)`` pairs, then ``--json | --text``.  The
-    envelope's ``params`` are the operands followed by ``params``."""
-    p = sub.add_parser(name, help=help_text)
-    for operand in operands:
-        p.add_argument(operand, type=str if operand == "partition" else int)
-    for flag, options in flags:
-        p.add_argument(flag, **options)
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--json", action="store_true", help="machine-readable output")
-    group.add_argument("--text", action="store_true", help="plain text output")
-    p.set_defaults(func=handler, params=operands + params)
+_VERIFY = ("--verify", {"action": "store_true", "help": "cross-check via the oracle"})
+
+# name, handler, help, operands (ints, except a partition), flags as
+# (flag, add_argument keywords) pairs, extra params.
+_VERBS = (
+    ("expand", _cmd_expand, "Schur expansion of G(k, m)", ("k", "m"), (_VERIFY,), ()),
+    (
+        "multiply", _cmd_expand, "Schur expansion of G(k, m) * p_n", ("k", "m", "n"),
+        (_VERIFY,), (),
+    ),
+    (
+        "pet", _cmd_pet, "k-Petrie coefficient of a partition", ("partition", "k"),
+        (("--method", {"choices": ["det", "grinberg", "rimhook", "all"], "default": "det"}),),
+        ("method",),
+    ),
+    (
+        "core", _cmd_core, "k-core, optionally with a rim-hook chain", ("partition", "k"),
+        (("--chain", {"action": "store_true", "help": "print the removal chain"}),), (),
+    ),
+    (
+        "classify", _cmd_classify, "signed-multiplicity-free verdict for G(k,m)*p_n",
+        ("k", "m", "n"),
+        (
+            ("--witness", {"action": "store_true", "help": "construct a verified collision"}),
+            ("--check", {"action": "store_true", "help": "also compute the full expansion"}),
+        ),
+        (),
+    ),
+    (
+        "sweep", _cmd_sweep, "compare verdicts against the closed form on a grid",
+        ("k_max", "m_max", "n_max"),
+        (
+            ("--jobs", {"type": int, "default": 1, "help": "worker processes"}),
+            ("--out", {"help": "write the report to this file"}),
+        ),
+        ("jobs",),
+    ),
+    (
+        "transition", _cmd_transition, "modular Schur transition matrix at degree m",
+        ("k", "m"), (), (),
+    ),
+    (
+        "verify-liu-polo", _cmd_verify_liu_polo,
+        "check the alternating hook expansions of G(k,k) and G(k,2k-1)", ("k_min", "k_max"),
+        (), (),
+    ),
+)
+_VERB_NAMES = [verb[0] for verb in _VERBS]
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(verb: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every verb, or of ``verb`` alone.  One verb's parser
+    lists every verb in its usage line, so its errors read the same."""
     parser = argparse.ArgumentParser(
         prog="petrie",
         description="Exact Schur expansions of Petrie symmetric functions",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    verify = ("--verify", {"action": "store_true", "help": "cross-check via the oracle"})
-    _add_verb(sub, "expand", _cmd_expand, "Schur expansion of G(k, m)", ("k", "m"), verify)
-    _add_verb(
-        sub, "multiply", _cmd_expand, "Schur expansion of G(k, m) * p_n",
-        ("k", "m", "n"), verify,
-    )
-    _add_verb(
-        sub, "pet", _cmd_pet, "k-Petrie coefficient of a partition", ("partition", "k"),
-        ("--method", {"choices": ["det", "grinberg", "rimhook", "all"], "default": "det"}),
-        params=("method",),
-    )
-    _add_verb(
-        sub, "core", _cmd_core, "k-core, optionally with a rim-hook chain",
-        ("partition", "k"),
-        ("--chain", {"action": "store_true", "help": "print the removal chain"}),
-    )
-    _add_verb(
-        sub, "classify", _cmd_classify, "signed-multiplicity-free verdict for G(k,m)*p_n",
-        ("k", "m", "n"),
-        ("--witness", {"action": "store_true", "help": "construct a verified collision"}),
-        ("--check", {"action": "store_true", "help": "also compute the full expansion"}),
-    )
-    _add_verb(
-        sub, "sweep", _cmd_sweep, "compare verdicts against the closed form on a grid",
-        ("k_max", "m_max", "n_max"),
-        ("--jobs", {"type": int, "default": 1, "help": "worker processes"}),
-        ("--out", {"help": "write the report to this file"}),
-        params=("jobs",),
-    )
-    _add_verb(
-        sub, "transition", _cmd_transition, "modular Schur transition matrix at degree m",
-        ("k", "m"),
-    )
-    _add_verb(
-        sub, "verify-liu-polo", _cmd_verify_liu_polo,
-        "check the alternating hook expansions of G(k,k) and G(k,2k-1)", ("k_min", "k_max"),
-    )
+    options = {"metavar": "{" + ",".join(_VERB_NAMES) + "}"} if verb else {}
+    sub = parser.add_subparsers(dest="command", required=True, **options)
+    for name, handler, help_text, operands, flags, params in _VERBS:
+        if verb in (None, name):
+            # The envelope's params are the operands, then ``params``.
+            p = sub.add_parser(name, help=help_text)
+            for operand in operands:
+                p.add_argument(operand, type=str if operand == "partition" else int)
+            for flag, flag_options in flags:
+                p.add_argument(flag, **flag_options)
+            group = p.add_mutually_exclusive_group()
+            group.add_argument("--json", action="store_true", help="machine-readable output")
+            group.add_argument("--text", action="store_true", help="plain text output")
+            p.set_defaults(func=handler, params=operands + params)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    verb = argv[0] if argv and argv[0] in _VERB_NAMES else None
+    args = build_parser(verb).parse_args(argv)
     try:
         if "partition" in args.params:
             args.partition = parse_partition(args.partition)

@@ -58,6 +58,9 @@ def _inner_shapes_after_strip(shape: Partition, size: int) -> Iterator[Partition
             if remaining == 0:
                 yield prefix
             return
+        # Row j gives up at most shape[j] - shape[j+1] cells: shape[i] in all from i on.
+        if remaining > shape[i]:
+            return
         low = shape[i + 1] if i + 1 < len(shape) else 0
         for part in range(shape[i], low - 1, -1):
             removed = shape[i] - part

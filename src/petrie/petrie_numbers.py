@@ -21,27 +21,44 @@ def _as_sign_or_zero(value: int) -> int:
     return value
 
 
-def _int_det(rows: list[list[int]]) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    n = len(rows)
-    if n == 0:
-        return 1
-    a = [row[:] for row in rows]
-    sign = 1
-    prev = 1
-    for col in range(n - 1):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
+def _interval_det(spans: Sequence[tuple[int, int]]) -> int:
+    """Determinant of the 0/1 matrix whose row i has its ones exactly in
+    columns lo_i..hi_i, given as ``spans[i] = (lo_i, hi_i)``; lo_i > hi_i is
+    a zero row.
+
+    Column by column: the remaining rows that start at the column are the
+    only ones with a nonzero there.  With none the determinant is 0;
+    otherwise the one with the smallest end is the pivot, and subtracting
+    it from each other such row leaves the span (hi_pivot + 1, hi), or two
+    equal rows when the ends agree.  The pivots, put in column order, form
+    a unitriangular matrix, so the determinant is the sign of the
+    permutation that puts them there.  Integers only, O(n^2) at worst.
+    """
+    n = len(spans)
+    starts: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for row, (lo, hi) in enumerate(spans):
+        if lo > hi:
             return 0
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            sign = -sign
-        for r in range(col + 1, n):
-            for c in range(col + 1, n):
-                a[r][c] = (a[r][c] * a[col][col] - a[r][col] * a[col][c]) // prev
-            a[r][col] = 0
-        prev = a[col][col]
-    return sign * a[n - 1][n - 1]
+        starts[lo].append((hi, row))
+    order = []
+    for rows in starts:
+        if not rows:
+            return 0
+        pivot_hi, pivot = min(rows)
+        order.append(pivot)
+        for hi, row in rows:
+            if row != pivot:
+                if hi == pivot_hi:
+                    return 0
+                starts[pivot_hi + 1].append((hi, row))
+    parity = n  # n minus the number of cycles of the pivot order
+    for start in range(n):
+        if order[start] >= 0:
+            parity -= 1
+            at = start
+            while order[at] >= 0:
+                order[at], at = -1, order[at]
+    return -1 if parity % 2 else 1
 
 
 def pet_det(lam: Partition, k: int) -> int:
@@ -141,15 +158,29 @@ def pet_generalized(lam: Partition, mu: Partition, k: int) -> int:
 
     Reduces to :func:`pet_det` when mu is empty.  No containment or size
     relation between lam and mu is required; incompatible pairs just give 0.
+    Both lam_i - i and mu_j - j strictly decrease, so the ones of row i are
+    the columns j with lam_i - i - k < mu_j - j <= lam_i - i, one run whose
+    ends never move left down the rows: an interval matrix, handed to
+    :func:`_interval_det` as its spans.  With mu = () the run is
+    max(0, i - lam_i) .. min(n-1, i - lam_i + k - 1).
     """
     lam, mu = as_partition(lam), as_partition(mu)
     if k < 1:
         raise ValueError("k must be >= 1")
     n = max(len(lam), len(mu))
+    if not mu:
+        return _interval_det(
+            [(max(0, i - part), min(n - 1, i - part + k - 1)) for i, part in enumerate(lam)]
+        )
     lam_p = lam + (0,) * (n - len(lam))
-    mu_p = mu + (0,) * (n - len(mu))
-    rows = [
-        [1 if 0 <= lam_p[i] - mu_p[j] - (i + 1) + (j + 1) < k else 0 for j in range(n)]
-        for i in range(n)
-    ]
-    return _as_sign_or_zero(_int_det(rows))
+    shifted = [part - j for j, part in enumerate(mu + (0,) * (n - len(mu)))]
+    spans = []
+    lo = end = 0  # the first column with mu_j - j <= lam_i - i, and <= lam_i - i - k
+    for i, part in enumerate(lam_p):
+        top = part - i
+        while lo < n and shifted[lo] > top:
+            lo += 1
+        while end < n and shifted[end] > top - k:
+            end += 1
+        spans.append((lo, end - 1))
+    return _interval_det(spans)

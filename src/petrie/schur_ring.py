@@ -11,6 +11,7 @@ witnesses in the region where it does not.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from functools import partial
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -396,26 +397,87 @@ def _sweep_pair(
     return entries, disagreements
 
 
+def _forked_map(task, items: list, workers: int) -> list:
+    """``[task(item) for item in items]``, computed by ``workers`` children
+    made with ``os.fork``.
+
+    Child i evaluates ``items[i::workers]``, pickles ``(True, results)`` or
+    ``(False, exception)`` to its pipe and leaves by ``os._exit``.  The
+    parent reads every pipe to EOF and reaps every child before it raises a
+    child's exception or reports a child that exited without a result
+    (``ChildProcessError``), so no child outlives the call.
+    """
+    import pickle  # here, not at the top: only jobs > 1 pays for importing it
+
+    children: list[tuple[int, int]] = []
+    try:
+        for i in range(workers):
+            read_end, write_end = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_end)
+                os.close(write_end)
+                raise
+            if pid == 0:
+                code = 1
+                try:
+                    os.close(read_end)
+                    try:
+                        payload = (True, [task(item) for item in items[i::workers]])
+                    except Exception as exc:
+                        payload = (False, exc)
+                    with open(write_end, "wb") as stream:
+                        pickle.dump(payload, stream, pickle.HIGHEST_PROTOCOL)
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(write_end)
+            children.append((pid, read_end))
+        blobs = []
+        for _, read_end in children:
+            with open(read_end, "rb", closefd=False) as stream:
+                blobs.append(stream.read())
+    finally:
+        # Closing first unblocks a child still writing to an unread pipe.
+        for _, read_end in children:
+            os.close(read_end)
+        statuses = [os.waitpid(pid, 0)[1] for pid, _ in children]
+    per_child = []
+    for blob, status in zip(blobs, statuses):
+        if not blob or status:
+            raise ChildProcessError(
+                f"a sweep worker exited with status {os.waitstatus_to_exitcode(status)}"
+                " without a result"
+            )
+        ok, value = pickle.loads(blob)
+        if not ok:
+            raise value
+        per_child.append(value)
+    return [per_child[j % workers][j // workers] for j in range(len(items))]
+
+
 def sweep_smf(k_max: int, m_max: int, n_max: int, jobs: int = 1) -> SweepReport:
     """Compare observed and predicted SMF verdicts over a whole grid.
 
     Covers k in 1..k_max, m in 0..m_max, n in 1..n_max.  Every non-SMF
     triple also gets a constructed-and-verified witness.  G(k, m) and the
     bead views of its terms are built once per (k, m), padded for hooks of
-    size n_max, and reused for every p_n.  With jobs > 1 the (k, m)
-    pairs are evaluated in a process pool of at most min(jobs, pairs)
-    workers, one task per pair; the report is identical to the sequential one.
+    size n_max, and reused for every p_n.  With jobs > 1 the (k, m) pairs
+    are split, strided, over min(jobs, pairs) forked children
+    (:func:`_forked_map`); the report is identical to the sequential one.
+    The children are forked copies of the caller, so a caller that runs
+    other threads should sweep with jobs = 1.  Platforms without ``os.fork``
+    refuse jobs > 1.
     """
     if k_max < 1 or m_max < 1 or n_max < 1:
         raise ValueError("sweep bounds must be >= 1")
+    if jobs > 1 and not hasattr(os, "fork"):
+        raise PreconditionViolated("jobs > 1 needs os.fork, which this platform lacks")
     pairs = [(k, m) for k in range(1, k_max + 1) for m in range(0, m_max + 1)]
     task = partial(_sweep_pair, n_max=n_max)
     if jobs > 1:
-        # Imported here: the pool pulls in multiprocessing, socket and logging.
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=min(jobs, len(pairs))) as pool:
-            per_pair = list(pool.map(task, pairs))
+        per_pair = _forked_map(task, pairs, min(jobs, len(pairs)))
     else:
         per_pair = [task(km) for km in pairs]
     non_smf = tuple(entry for entries, _ in per_pair for entry in entries)

@@ -125,6 +125,39 @@ def filter_remove_rim_hooks(lam, n):
     ]
 
 
+def bareiss_det(rows: list[list[int]]) -> int:
+    """Exact determinant by fraction-free (Bareiss) elimination."""
+    n = len(rows)
+    if n == 0:
+        return 1
+    a = [row[:] for row in rows]
+    sign = 1
+    prev = 1
+    for col in range(n - 1):
+        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if pivot is None:
+            return 0
+        if pivot != col:
+            a[col], a[pivot] = a[pivot], a[col]
+            sign = -sign
+        for r in range(col + 1, n):
+            for c in range(col + 1, n):
+                a[r][c] = (a[r][c] * a[col][col] - a[r][col] * a[col][c]) // prev
+            a[r][col] = 0
+        prev = a[col][col]
+    return sign * a[n - 1][n - 1]
+
+
+def dense_pet_det(lam, mu, k) -> int:
+    """det[chi(0 <= lam_i - mu_j - i + j < k)] from the dense matrix, by Bareiss."""
+    n = max(len(lam), len(mu))
+    lam_p = tuple(lam) + (0,) * (n - len(lam))
+    mu_p = tuple(mu) + (0,) * (n - len(mu))
+    return bareiss_det(
+        [[1 if 0 <= lam_p[i] - mu_p[j] - i + j < k else 0 for j in range(n)] for i in range(n)]
+    )
+
+
 def dominates(lam, mu) -> bool:
     """Dominance order by explicit prefix sums over the longer length."""
     return all(sum(lam[:i]) >= sum(mu[:i]) for i in range(1, max(len(lam), len(mu)) + 1))

@@ -134,9 +134,17 @@ def test_every_export_has_a_caller():
 
 
 def test_importing_the_cli_does_not_load_the_process_pool():
-    code = "import sys, petrie.cli; print('concurrent.futures' in sys.modules)"
+    # Neither importing the CLI nor a sweep with forked workers loads the
+    # standard library's process pools.
+    pools = "[name in sys.modules for name in ('concurrent.futures', 'multiprocessing')]"
+    code = (
+        f"import sys, petrie.cli; print({pools}); "
+        f"petrie.cli.main(['sweep', '3', '4', '3', '--jobs', '2']); print({pools})"
+    )
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "False"
+    lines = out.stdout.splitlines()
+    assert lines[0] == lines[-1] == "[False, False]"
+    assert "0 disagreements" in out.stdout

@@ -210,6 +210,13 @@ class TestJson:
         assert pooled["result"] == sequential["result"]
         assert pooled["params"]["jobs"] == 2
 
+    def test_jobs_without_fork_are_refused(self, monkeypatch):
+        monkeypatch.delattr(os, "fork")
+        code, out, err = run_cli(["sweep", "3", "4", "3", "--jobs", "2"])
+        assert (code, out) == (2, "")
+        assert err == "error: jobs > 1 needs os.fork, which this platform lacks\n"
+        assert run_cli(["sweep", "3", "4", "3", "--jobs", "1"])[0] == 0
+
 
 class _Level(enum.IntEnum):
     LOW = 1

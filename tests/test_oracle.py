@@ -14,6 +14,7 @@ from petrie import (
     power_sum_monomial_vector,
     schur_monomial_vector,
 )
+from petrie.oracle import _inner_shapes_after_strip
 
 
 class TestMonomialVector:
@@ -86,6 +87,24 @@ class TestKostka:
             for shape in partitions_of(degree):
                 for content in partitions_of(degree):
                     assert kostka_number(shape, content) == count_ssyt(shape, content[::-1])
+
+    def test_strip_removal_matches_filtering(self):
+        # Every nu inside the shape whose complement is a horizontal strip
+        # (no two removed cells in one column: nu_i >= shape_(i+1)).
+        for degree in range(10):
+            for shape in partitions_of(degree):
+                below = shape[1:] + (0,)
+                for size in range(degree + 1):
+                    expected = [
+                        nu
+                        for nu in partitions_of(degree - size)
+                        if len(nu) <= len(shape)
+                        and all(low <= part <= top for part, top, low in zip(
+                            nu + (0,) * (len(shape) - len(nu)), shape, below
+                        ))
+                    ]
+                    found = list(_inner_shapes_after_strip(shape, size))
+                    assert sorted(found, reverse=True) == expected, (shape, size)
 
     def test_unitriangular(self):
         for degree in range(11):

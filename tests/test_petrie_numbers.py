@@ -1,6 +1,7 @@
 import random
+from itertools import combinations_with_replacement, product
 
-from helpers import random_chain_sign
+from helpers import bareiss_det, dense_pet_det, random_chain_sign
 from petrie import (
     k_core,
     monomial_to_schur,
@@ -13,6 +14,7 @@ from petrie import (
     poly_multiply_extract,
     schur_monomial_vector,
 )
+from petrie.petrie_numbers import _interval_det
 
 
 class TestPetDet:
@@ -85,6 +87,48 @@ class TestPetGeneralized:
                             coeff = product.coefficient(lam)
                             assert coeff in (-1, 0, 1)
                             assert coeff == pet_generalized(lam, mu, k)
+
+
+class TestIntervalDeterminant:
+    def test_single_partition_matches_bareiss(self):
+        for k in range(1, 8):
+            for size in range(13):
+                for lam in partitions_of(size):
+                    assert pet_generalized(lam, (), k) == dense_pet_det(lam, (), k), (lam, k)
+
+    def test_two_partitions_match_bareiss(self):
+        for k in range(1, 5):
+            for size in range(8):
+                for lam in partitions_of(size):
+                    for mu_size in range(6):
+                        for mu in partitions_of(mu_size):
+                            assert pet_generalized(lam, mu, k) == dense_pet_det(lam, mu, k), (
+                                lam, mu, k,
+                            )
+
+    @staticmethod
+    def _spans(n):
+        """Every span of n columns, the empty one (0, -1) included."""
+        return [(lo, hi) for lo in range(n) for hi in range(lo, n)] + [(0, -1)]
+
+    @staticmethod
+    def _dense(spans):
+        n = len(spans)
+        return [[1 if lo <= j <= hi else 0 for j in range(n)] for lo, hi in spans]
+
+    def test_every_span_tuple_up_to_four_rows(self):
+        for n in range(5):
+            for spans in product(self._spans(n), repeat=n):
+                assert _interval_det(spans) == bareiss_det(self._dense(spans)), spans
+
+    def test_every_span_multiset_of_five_rows(self):
+        # Row order is covered exhaustively above; here each multiset of five
+        # spans is tried in sorted order and in one shuffled order.
+        rng = random.Random(5)
+        for spans in combinations_with_replacement(self._spans(5), 5):
+            shuffled = rng.sample(spans, 5)
+            for rows in (spans, shuffled):
+                assert _interval_det(rows) == bareiss_det(self._dense(rows)), rows
 
 
 class TestAgreement:

@@ -1,4 +1,5 @@
 import hashlib
+import os
 from math import comb
 
 import pytest
@@ -323,6 +324,20 @@ class TestWitness:
                     coeff = petrie_times_power_sum(k, m, n).coefficient(lam_plus)
                     assert abs(coeff) >= 2, (k, m, n)
 
+    def test_every_witness_on_the_witness_grid_verifies(self):
+        # witness_non_smf verifies each witness (pet_det of both partitions,
+        # both rim hooks, reinforcing signs) and raises if one fails.
+        triples = [
+            (k, m, n)
+            for k in range(1, 13)
+            for m in range(61)
+            for n in range(1, 25)
+            if not classify_smf(k, m, n)
+        ]
+        assert len(triples) == 1678
+        for triple in triples:
+            witness_non_smf(*triple)
+
     def test_witnesses_pinned_on_a_grid(self):
         # Every witness for k <= 10, m <= 40, n <= 16, hashed; the grid hits
         # each case of the table, with d = 1 and without, at least 21 times.
@@ -367,26 +382,47 @@ class TestSweep:
         assert sweep_smf(4, 6, 4, jobs=2) == sweep_smf(4, 6, 4)
 
     def test_pool_never_outnumbers_the_pairs(self, monkeypatch):
-        import concurrent.futures
+        forks = []
+        fork = os.fork
 
-        requested = []
+        def counted():
+            forks.append(None)
+            return fork()
 
-        class InlinePool:
-            def __init__(self, max_workers):
-                requested.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc_info):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(os, "fork", counted)
         assert sweep_smf(1, 1, 1, jobs=64) == sweep_smf(1, 1, 1)
-        assert requested == [2]
+        assert len(forks) == 2
+
+    def test_worker_exception_reaches_the_caller(self, monkeypatch):
+        import petrie.schur_ring as sr
+
+        build = sr.petrie_schur_expansion
+
+        def failing(k, m):
+            if (k, m) == (2, 3):
+                raise InternalInvariantFailure("injected")
+            return build(k, m)
+
+        monkeypatch.setattr(sr, "petrie_schur_expansion", failing)
+        with pytest.raises(InternalInvariantFailure, match="injected"):
+            sweep_smf(3, 4, 2, jobs=2)
+        with pytest.raises(ChildProcessError):  # every worker was reaped
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_worker_that_dies_is_reported(self, monkeypatch):
+        import petrie.schur_ring as sr
+
+        monkeypatch.setattr(sr, "petrie_schur_expansion", lambda k, m: os._exit(3))
+        with pytest.raises(ChildProcessError, match="status 3"):
+            sweep_smf(2, 3, 2, jobs=3)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_jobs_need_fork(self, monkeypatch):
+        monkeypatch.delattr(os, "fork")
+        with pytest.raises(PreconditionViolated):
+            sweep_smf(2, 3, 2, jobs=2)
+        assert sweep_smf(2, 3, 2, jobs=1).disagreements == ()
 
     def test_expansion_built_once_per_k_and_m(self, monkeypatch):
         import petrie.schur_ring as sr
