@@ -10,8 +10,7 @@ removal walk of :func:`~petrie.partitions.remove_rim_hooks`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import InternalInvariantFailure, TooManyParts
 from .partitions import (
@@ -25,8 +24,7 @@ from .partitions import (
 )
 
 
-@dataclass(frozen=True)
-class AbacusProfile:
+class AbacusProfile(NamedTuple):
     """Beta/gamma data of a partition with fewer than k parts.
 
     beta[i] = base_i - (i+1)        (base zero-padded to k-1 entries)
@@ -54,8 +52,7 @@ class AbacusProfile:
         }
 
 
-@dataclass(frozen=True)
-class RimHookSequence:
+class RimHookSequence(NamedTuple):
     """A chain core = lam^0 < lam^1 < ... < lam^q = lam of size-k hook additions."""
 
     k: int

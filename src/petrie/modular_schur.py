@@ -21,8 +21,8 @@ oracle (``tests/helpers.det_over_oracle``).
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from math import factorial, prod
+from typing import NamedTuple
 
 from .abacus import k_core
 from .errors import BlockViolation, InternalInvariantFailure
@@ -85,8 +85,7 @@ def modular_schur_expansion(k: int, lam: Partition) -> SchurExpansion:
     return _row(lam, _weighted_classes(k, sum(lam)))
 
 
-@dataclass(frozen=True)
-class TransitionMatrix:
+class TransitionMatrix(NamedTuple):
     """Rows expand modular Schur functions in the Schur basis.
 
     ``order`` indexes both rows and columns (canonical partition order);

@@ -15,10 +15,9 @@ cut from the view with slices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
 from operator import ge
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import MalformedPartition, NotARimHook
 
@@ -83,18 +82,26 @@ def contains(inner: Partition, outer: Partition) -> bool:
     return all(inner[i] <= outer[i] for i in range(len(inner)))
 
 
-@dataclass(frozen=True)
-class SkewShape:
-    """The diagram of ``outer`` with ``inner`` removed from the top-left."""
-
+class _SkewShapeFields(NamedTuple):
     outer: Partition
     inner: Partition
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "outer", as_partition(self.outer))
-        object.__setattr__(self, "inner", as_partition(self.inner))
-        if not contains(self.inner, self.outer):
-            raise ValueError(f"{self.inner} is not contained in {self.outer}")
+
+class SkewShape(_SkewShapeFields):
+    """The diagram of ``outer`` with ``inner`` removed from the top-left.
+
+    Both partitions are canonicalized, and ``inner`` must be contained in
+    ``outer``; a ``NamedTuple`` body cannot define ``__new__``, so the check
+    sits in this subclass of the fields.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, outer: Iterable[int], inner: Iterable[int]) -> SkewShape:
+        outer, inner = as_partition(outer), as_partition(inner)
+        if not contains(inner, outer):
+            raise ValueError(f"{inner} is not contained in {outer}")
+        return super().__new__(cls, outer, inner)
 
     @property
     def size(self) -> int:

@@ -11,14 +11,7 @@ from __future__ import annotations
 from typing import Iterator, Sequence
 
 from .abacus import gammas_distinct, k_core, ninv, profile, rim_hook_sequence
-from .errors import InternalInvariantFailure
 from .partitions import Partition, _conjugate, as_partition, conjugate
-
-
-def _as_sign_or_zero(value: int) -> int:
-    if value not in (-1, 0, 1):
-        raise InternalInvariantFailure(f"Petrie coefficient out of range: {value}")
-    return value
 
 
 def _interval_det(spans: Sequence[tuple[int, int]]) -> int:
@@ -68,7 +61,7 @@ def pet_det(lam: Partition, k: int) -> int:
 
 def _grinberg_sign(beta: Sequence[int], gamma: Sequence[int]) -> int:
     exponent = sum(beta) + ninv(gamma) + sum(gamma)
-    return _as_sign_or_zero(-1 if exponent % 2 else 1)
+    return -1 if exponent % 2 else 1
 
 
 def pet_grinberg(lam: Partition, k: int) -> int:
@@ -150,7 +143,7 @@ def pet_rimhook(lam: Partition, k: int) -> int:
         return 0
     if lam == core:
         return 1
-    return _as_sign_or_zero(rim_hook_sequence(lam, k).sign())
+    return rim_hook_sequence(lam, k).sign()
 
 
 def pet_generalized(lam: Partition, mu: Partition, k: int) -> int:
@@ -161,17 +154,12 @@ def pet_generalized(lam: Partition, mu: Partition, k: int) -> int:
     Both lam_i - i and mu_j - j strictly decrease, so the ones of row i are
     the columns j with lam_i - i - k < mu_j - j <= lam_i - i, one run whose
     ends never move left down the rows: an interval matrix, handed to
-    :func:`_interval_det` as its spans.  With mu = () the run is
-    max(0, i - lam_i) .. min(n-1, i - lam_i + k - 1).
+    :func:`_interval_det` as its spans.  Two pointers walk the run's ends.
     """
     lam, mu = as_partition(lam), as_partition(mu)
     if k < 1:
         raise ValueError("k must be >= 1")
     n = max(len(lam), len(mu))
-    if not mu:
-        return _interval_det(
-            [(max(0, i - part), min(n - 1, i - part + k - 1)) for i, part in enumerate(lam)]
-        )
     lam_p = lam + (0,) * (n - len(lam))
     shifted = [part - j for j, part in enumerate(mu + (0,) * (n - len(mu)))]
     spans = []

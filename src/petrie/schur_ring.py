@@ -12,9 +12,8 @@ witnesses in the region where it does not.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from functools import partial
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import InternalInvariantFailure, PreconditionViolated
 from .partitions import (
@@ -131,8 +130,7 @@ class SchurExpansion(_HomogeneousVector):
         }
 
 
-@dataclass(frozen=True)
-class SmfVerdict:
+class SmfVerdict(NamedTuple):
     """Outcome of a signed-multiplicity-freeness check.
 
     ``offending`` is the first term (canonical order) with |coefficient| >= 2
@@ -293,8 +291,7 @@ def witness_non_smf(
     return lam, mu, lam_plus
 
 
-@dataclass(frozen=True)
-class NonSmfEntry:
+class NonSmfEntry(NamedTuple):
     k: int
     m: int
     n: int
@@ -318,8 +315,7 @@ class NonSmfEntry:
         }
 
 
-@dataclass(frozen=True)
-class SweepReport:
+class SweepReport(NamedTuple):
     """Deterministic comparison of observed verdicts against the closed form.
 
     ``max_abs_coeff`` is the largest |coefficient| among the non-SMF

@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 from hypothesis import given, settings
 
@@ -117,6 +119,33 @@ class TestContains:
         assert contains((1,), (2, 2))
         assert not contains((3,), (2, 2))
         assert contains((2, 1), (2, 1))
+
+
+class TestSkewShape:
+    def test_parts_are_canonicalized(self):
+        shape = SkewShape([3, 2, 0], [1])
+        assert shape == SkewShape((3, 2), (1,))
+        assert hash(shape) == hash(SkewShape((3, 2), (1,)))
+        assert (shape.outer, shape.inner) == ((3, 2), (1,))
+
+    def test_inner_must_be_contained(self):
+        with pytest.raises(ValueError):
+            SkewShape((1,), (2,))
+        with pytest.raises(MalformedPartition):
+            SkewShape((1, 2), ())
+
+    def test_immutable(self):
+        shape = SkewShape((2, 1), (1,))
+        with pytest.raises(AttributeError):
+            shape.outer = (3,)
+        with pytest.raises(AttributeError):
+            shape.extra = 1
+
+    def test_pickle_round_trip(self):
+        shape = SkewShape((4, 2, 1), (2, 1))
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            copy = pickle.loads(pickle.dumps(shape, protocol))
+            assert copy == shape and type(copy) is SkewShape
 
 
 class TestRimHooks:
