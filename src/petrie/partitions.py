@@ -16,7 +16,7 @@ cut from the view with slices.
 from __future__ import annotations
 
 from itertools import accumulate
-from operator import ge
+from operator import ge, lt
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import MalformedPartition, NotARimHook
@@ -26,11 +26,12 @@ Partition = tuple[int, ...]
 
 def as_partition(parts: Iterable[int]) -> Partition:
     """Canonicalize ``parts``: drop zeros, reject increasing or negative input."""
-    seq = tuple(int(p) for p in parts)
-    if any(p < 0 for p in seq):
+    seq = tuple(map(int, parts))
+    if seq and min(seq) < 0:
         raise MalformedPartition(f"negative part in {seq!r}")
-    seq = tuple(p for p in seq if p)
-    if any(seq[i] < seq[i + 1] for i in range(len(seq) - 1)):
+    if 0 in seq:
+        seq = tuple(filter(None, seq))
+    if any(map(lt, seq, seq[1:])):
         raise MalformedPartition(f"parts must be weakly decreasing, got {seq!r}")
     return seq
 
@@ -56,11 +57,7 @@ def format_partition(lam: Sequence[int]) -> str:
 
 def conjugate(lam: Partition) -> Partition:
     """Transpose the Young diagram: part i of the result counts rows >= i."""
-    return _conjugate(as_partition(lam))
-
-
-def _conjugate(lam: Sequence[int]) -> Partition:
-    """:func:`conjugate` of weakly decreasing nonnegative parts, unchecked."""
+    lam = as_partition(lam)
     if not lam:
         return ()
     return tuple(sum(1 for p in lam if p >= i) for i in range(1, lam[0] + 1))

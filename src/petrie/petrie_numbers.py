@@ -8,10 +8,12 @@ abacus.  ``pet_det`` is the mu = () case of ``pet_generalized``.
 
 from __future__ import annotations
 
+from itertools import chain, combinations, repeat, starmap
+from operator import gt, sub
 from typing import Iterator, Sequence
 
 from .abacus import gammas_distinct, k_core, ninv, profile, rim_hook_sequence
-from .partitions import Partition, _conjugate, as_partition, conjugate
+from .partitions import Partition, as_partition, conjugate
 
 
 def _interval_det(spans: Sequence[tuple[int, int]]) -> int:
@@ -83,16 +85,6 @@ def pet_grinberg(lam: Partition, k: int) -> int:
     return _grinberg_sign(prof.beta, prof.gamma)
 
 
-def _level_splits(total: int, runners: int) -> Iterator[tuple[int, ...]]:
-    """Every way to write ``total`` as an ordered sum of ``runners`` parts >= 0."""
-    if runners == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _level_splits(total - first, runners - 1):
-            yield (first,) + rest
-
-
 def grinberg_support(k: int, m: int) -> Iterator[tuple[Partition, int]]:
     """Every partition of m with a nonzero k-Petrie number, with that number.
 
@@ -103,9 +95,18 @@ def grinberg_support(k: int, m: int) -> Iterator[tuple[Partition, int]]:
     bead positions sum to m + (k-1)(k-2)/2, which fixes the empty runner
     e = (k-1-m) mod k and the number L = (m-(k-1)+e)/k of levels the beads
     sit below the top row in total.  Each split of L over the other k-1
-    runners is one lam, C(L+k-2, k-2) in all.  The sign is the one of
-    :func:`pet_grinberg`; gamma_i is one more than the runner of the i-th
-    largest bead.
+    runners is one lam, C(L+k-2, k-2) in all, enumerated in lexicographic
+    order by stars and bars.
+
+    With the beads level_r * k + r in ascending order c_0 < ... < c_{k-2}
+    and c_{-1} = -1, the part k-1-i of lam repeats c_i - c_{i-1} - 1 times,
+    so lam is built run by run in O(k) steps.  The sign is the one of
+    :func:`pet_grinberg` in closed form:
+    sum(beta) + sum(gamma) = kL + 2 sum(runners) - (k-1)^2 + (k-1) has the
+    parity of kL for every split; and as gamma lists runner + 1 by falling
+    bead, ninv(gamma) counts the runners r < s with
+    level_r * k + r > level_s * k + s, which for 0 < s - r < k holds iff
+    level_r > level_s.  So the sign is (-1)^(kL + inversions of the split).
     """
     if k < 2:
         raise ValueError("grinberg_support needs k >= 2")
@@ -114,14 +115,16 @@ def grinberg_support(k: int, m: int) -> Iterator[tuple[Partition, int]]:
     empty = (k - 1 - m) % k
     levels = (m - (k - 1) + empty) // k
     runners = [r for r in range(k) if r != empty]
-    for split in _level_splits(levels, k - 1):
-        beads = sorted(
-            ((level * k + r, r) for level, r in zip(split, runners)), reverse=True
-        )
-        mu = tuple(b - (k - 2 - i) for i, (b, _) in enumerate(beads))
-        beta = [b - (k - 1) for b, _ in beads]
-        gamma = [r + 1 for _, r in beads]
-        yield _conjugate(mu), _grinberg_sign(beta, gamma)
+    parity = k * levels % 2
+    width = levels + k - 2
+    parts = range(k - 1, 0, -1)
+    for bars in combinations(range(width), k - 2):
+        split = [b - a - 1 for a, b in zip((-1,) + bars, bars + (width,))]
+        beads = sorted([level * k + r for level, r in zip(split, runners)])
+        runs = map(sub, beads, [0] + [c + 1 for c in beads])
+        lam = tuple(chain.from_iterable(map(repeat, parts, runs)))
+        inversions = sum(starmap(gt, combinations(split, 2)))
+        yield lam, -1 if (parity + inversions) % 2 else 1
 
 
 def pet_rimhook(lam: Partition, k: int) -> int:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import os
 from functools import partial
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import InternalInvariantFailure, PreconditionViolated
 from .partitions import (
@@ -147,9 +147,10 @@ def petrie_schur_expansion(k: int, m: int) -> SchurExpansion:
     The support is exactly the partitions of m with first part below k whose
     conjugate's k-1 beads lie on distinct runners of a k-runner abacus; the
     coefficient is the k-Petrie number.  Both are generated bead placement
-    by bead placement (:func:`~petrie.petrie_numbers.grinberg_support`), so
-    the cost is proportional to the support, C(L+k-2, k-2) terms with
-    L = (m-(k-1)+e)/k and e = (k-1-m) mod k, not to the number of
+    by bead placement (:func:`~petrie.petrie_numbers.grinberg_support`),
+    each term in O(k) steps from its runs of equal parts and a closed-form
+    sign, so the cost is proportional to the support, C(L+k-2, k-2) terms
+    with L = (m-(k-1)+e)/k and e = (k-1-m) mod k, not to the number of
     partitions of m.  At k = 1 the generating product is the constant 1, so
     the expansion is empty for every m >= 1.
     """
@@ -166,25 +167,17 @@ def multiply_power_sum(f: SchurExpansion, n: int) -> SchurExpansion:
     """Murnaghan-Nakayama product: for each term add every size-n rim hook,
     signed by (-1)^height, and combine like terms.
 
-    The one-``n`` case of :func:`_power_sum_products`.  Hooks and signs
-    come from the bead rule (:func:`~petrie.partitions._add_signed_rim_hooks`):
-    the height is the number of beads strictly between b and b+n.  The keys
-    of ``f`` were validated when ``f`` was built, so neither they nor the
-    product's keys are validated again.
+    Hooks and signs come from the bead rule
+    (:func:`~petrie.partitions._add_signed_rim_hooks`): the height is the
+    number of beads strictly between b and b+n.  The keys of ``f`` were
+    validated when ``f`` was built, so neither they nor the product's keys
+    are validated again.
     """
     if n < 1:
         raise ValueError("power sum index must be >= 1")
-    return next(_power_sum_products(f, (n,)))
-
-
-def _power_sum_products(f: SchurExpansion, ns: Sequence[int]) -> Iterator[SchurExpansion]:
-    """``f * p_n`` for each ``n >= 1`` of ``ns`` in turn, from one set of
-    bead views of ``f``'s terms built for the largest ``n``."""
-    views = _bead_views(f._terms.items(), max(ns))
-    for n in ns:
-        acc: dict[Partition, int] = {}
-        _add_signed_rim_hooks(acc, views, n)
-        yield SchurExpansion._from_canonical(f.degree + n, acc.items())
+    acc: dict[Partition, int] = {}
+    _add_signed_rim_hooks(acc, _bead_views(f._terms.items(), n), n)
+    return SchurExpansion._from_canonical(f.degree + n, acc.items())
 
 
 def petrie_times_power_sum(k: int, m: int, n: int) -> SchurExpansion:
@@ -193,15 +186,19 @@ def petrie_times_power_sum(k: int, m: int, n: int) -> SchurExpansion:
 
 
 def is_signed_multiplicity_free(f: SchurExpansion) -> SmfVerdict:
-    """True iff every stored coefficient is -1 or 1 (vacuously true if empty).
+    """True iff every stored coefficient is -1 or 1 (vacuously true if empty)."""
+    return _smf_verdict(f._terms)
+
+
+def _smf_verdict(terms: Mapping[Partition, int]) -> SmfVerdict:
+    """The verdict on a coefficient map, which may hold cancelled zeros.
 
     The offending term is the largest key with |coefficient| >= 2, which is
     the first such term in canonical order; no full sort is needed.
     """
-    terms = f._terms
-    worst = max((lam for lam, coeff in terms.items() if abs(coeff) >= 2), default=None)
-    if worst is None:
+    if max(map(abs, terms.values()), default=0) < 2:
         return SmfVerdict(signed_multiplicity_free=True)
+    worst = max(lam for lam, coeff in terms.items() if abs(coeff) >= 2)
     return SmfVerdict(signed_multiplicity_free=False, offending=(worst, terms[worst]))
 
 
@@ -371,14 +368,16 @@ def _sweep_pair(
 ) -> tuple[list[NonSmfEntry], list[tuple[int, int, int]]]:
     """The non-SMF entries and the disagreements for (k, m, n), n = 1..n_max,
     from one expansion of G(k, m) and one set of its bead views, reused for
-    every p_n."""
+    every p_n.  Each verdict is read straight from the product's
+    accumulator, cancelled zeros and all; no expansion is built for it."""
     k, m = km
-    expansion = petrie_schur_expansion(k, m)
+    views = _bead_views(petrie_schur_expansion(k, m)._terms.items(), n_max)
     entries: list[NonSmfEntry] = []
     disagreements: list[tuple[int, int, int]] = []
-    products = _power_sum_products(expansion, range(1, n_max + 1))
-    for n, product in enumerate(products, 1):
-        verdict = is_signed_multiplicity_free(product)
+    for n in range(1, n_max + 1):
+        acc: dict[Partition, int] = {}
+        _add_signed_rim_hooks(acc, views, n)
+        verdict = _smf_verdict(acc)
         predicted = classify_smf(k, m, n)
         if verdict.signed_multiplicity_free != predicted:
             disagreements.append((k, m, n))

@@ -16,6 +16,7 @@ from itertools import permutations
 from hypothesis import strategies as st
 
 from petrie import (
+    MalformedPartition,
     MonomialVector,
     SchurExpansion,
     SkewShape,
@@ -156,6 +157,18 @@ def dense_pet_det(lam, mu, k) -> int:
     return bareiss_det(
         [[1 if 0 <= lam_p[i] - mu_p[j] - i + j < k else 0 for j in range(n)] for i in range(n)]
     )
+
+
+def reference_as_partition(parts):
+    """``as_partition`` as a generator-expression scan, part by part: the
+    same checks and messages, written without builtins that loop in C."""
+    seq = tuple(int(p) for p in parts)
+    if any(p < 0 for p in seq):
+        raise MalformedPartition(f"negative part in {seq!r}")
+    seq = tuple(p for p in seq if p)
+    if any(seq[i] < seq[i + 1] for i in range(len(seq) - 1)):
+        raise MalformedPartition(f"parts must be weakly decreasing, got {seq!r}")
+    return seq
 
 
 def dominates(lam, mu) -> bool:

@@ -1,4 +1,5 @@
 import pickle
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ from helpers import (
     filter_remove_rim_hooks,
     partition_count,
     partitions_strategy,
+    reference_as_partition,
     rim_hook_columns,
 )
 from petrie import (
@@ -16,6 +18,7 @@ from petrie import (
     NotARimHook,
     SkewShape,
     add_rim_hooks,
+    as_partition,
     conjugate,
     contains,
     format_partition,
@@ -31,6 +34,39 @@ from petrie.partitions import (
     _dominates,
     _signed_rim_hooks,
 )
+
+
+def _outcome(canonicalize, parts):
+    try:
+        return canonicalize(parts)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+class TestAsPartition:
+    def test_matches_reference_on_every_small_tuple(self):
+        for length in range(6):
+            for parts in product(range(-1, 4), repeat=length):
+                expected = _outcome(reference_as_partition, parts)
+                assert _outcome(as_partition, parts) == expected, parts
+
+    def test_matches_reference_on_other_part_types(self):
+        for parts in [
+            (True, False, True),
+            (False, True),
+            [2.5, 1.0, 0.0],
+            (1.5, 2.9),
+            (-0.5, 1),
+            (-1.5,),
+            "3210",
+            "123",
+            "3a",
+            "",
+            (None,),
+            5,
+        ]:
+            expected = _outcome(reference_as_partition, parts)
+            assert _outcome(as_partition, parts) == expected, parts
 
 
 class TestParse:

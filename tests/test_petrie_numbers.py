@@ -1,5 +1,6 @@
 import random
 from itertools import combinations_with_replacement, product
+from math import comb
 
 from helpers import bareiss_det, dense_pet_det, random_chain_sign
 from petrie import (
@@ -14,7 +15,7 @@ from petrie import (
     poly_multiply_extract,
     schur_monomial_vector,
 )
-from petrie.petrie_numbers import _interval_det
+from petrie.petrie_numbers import _interval_det, grinberg_support
 
 
 class TestPetDet:
@@ -46,6 +47,23 @@ class TestPetGrinberg:
 
     def test_first_part_at_k(self):
         assert pet_grinberg((4,), 4) == 0
+
+
+class TestGrinbergSupport:
+    def test_distinct_terms_counted_by_bead_placements_with_grinberg_signs(self):
+        # the signs go through pet_grinberg's profile and ninv route; checking
+        # them for m > 40 as well would take about 8 s
+        for k in range(2, 14):
+            for m in range(61):
+                terms = list(grinberg_support(k, m))
+                empty = (k - 1 - m) % k
+                levels = (m - (k - 1) + empty) // k
+                assert len(terms) == comb(levels + k - 2, k - 2), (k, m)
+                assert len({lam for lam, _ in terms}) == len(terms), (k, m)
+                assert all(sum(lam) == m for lam, _ in terms), (k, m)
+                if m <= 40:
+                    for lam, sign in terms:
+                        assert sign == pet_grinberg(lam, k), (k, m, lam)
 
 
 class TestPetRimhook:

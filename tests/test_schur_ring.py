@@ -27,7 +27,8 @@ from petrie import (
     sweep_smf,
     witness_non_smf,
 )
-from petrie.schur_ring import _power_sum_products, verify_witness
+from petrie.partitions import _add_signed_rim_hooks, _bead_views
+from petrie.schur_ring import verify_witness
 
 
 class TestSchurExpansion:
@@ -184,12 +185,17 @@ class TestMultiplyPowerSum:
                     assert multiply_power_sum(f, n).items() == reference.items(), (lam, n)
 
     def test_shared_views_match_one_product_per_n(self):
-        # views built once for n <= 8 against views built for each n alone
+        # views built once for n <= 8, as the sweep builds them, against
+        # views built for each n alone
         for k in range(2, 8):
             for m in range(15):
                 f = petrie_schur_expansion(k, m)
-                shared = list(_power_sum_products(f, range(1, 9)))
-                assert shared == [multiply_power_sum(f, n) for n in range(1, 9)], (k, m)
+                views = _bead_views(f.items(), 8)
+                for n in range(1, 9):
+                    acc = {}
+                    _add_signed_rim_hooks(acc, views, n)
+                    shared = {lam: coeff for lam, coeff in acc.items() if coeff}
+                    assert shared == dict(multiply_power_sum(f, n).items()), (k, m, n)
 
     def test_cancelled_terms_are_not_stored(self):
         # s[2]*p_2 = s[4] + s[2,2] - s[2,1,1]; s[1,1]*p_2 = s[3,1] - s[2,2] - s[1,1,1,1]
@@ -249,6 +255,11 @@ class TestSmfVerdict:
         assert is_signed_multiplicity_free(SchurExpansion(3, {})).signed_multiplicity_free
 
     def test_offending_is_first_large_term_in_canonical_order(self):
+        # the sweep reads its verdicts from accumulators, which keep cancelled
+        # terms: in G(3,3) * p_1 the two hooks onto [2,1,1] cancel
+        acc = {}
+        _add_signed_rim_hooks(acc, _bead_views(petrie_schur_expansion(3, 3).items(), 1), 1)
+        assert acc[(2, 1, 1)] == 0
         report = sweep_smf(6, 12, 8)
         entries = {(e.k, e.m, e.n): (e.offending, e.coeff) for e in report.non_smf}
         assert entries
