@@ -15,11 +15,14 @@ maps exceptions to exit codes.  When the first argument names a verb, ``main``
 builds that verb's parser alone; its usage line still lists every verb.
 
 JSON output is byte for byte ``json.dumps(envelope, indent=2)`` plus a
-newline.  Before Python 3.13 ``indent`` turns off the C encoder, so ``main``
-renders with ``_render_json``; from 3.13 on it calls ``json.dumps``.  The
-renderer appends chunks to one list and joins it once.  A list of exact ints,
-of non-empty lists or tuples of exact ints, or of records is rendered a column
-at a time: ints by ``int.__repr__``, int lists by one ``%d`` format per length.
+newline, where a ``SchurExpansion`` in a ``result`` stands for its
+``to_json_dict()["terms"]``.  Before Python 3.13 ``indent`` turns off the C
+encoder, so ``main`` renders with ``_render_json``, which writes an expansion
+from its own terms, one ``%`` format per partition length; from 3.13 on it
+calls ``json.dumps`` with ``default=_json_default``.  The renderer appends
+chunks to one list and joins it once.  A list of exact ints, of non-empty
+lists or tuples of exact ints, or of records is rendered a column at a time:
+ints by ``int.__repr__``, int lists by one ``%d`` format per length.
 Records are dicts with one shared order of ``str`` keys, each field of which,
 taken across the records, is again such a list.  Only exact types qualify,
 since ``"%d" % True`` is ``1`` where JSON says ``true``: bools, ``IntEnum``,
@@ -66,13 +69,18 @@ class _Refusal(Exception):
 
 
 class _Outcome(NamedTuple):
+    """A handler's JSON ``result``, text renderer and optional failure.  An
+    expansion in ``result`` is rendered from its own terms, so text mode
+    builds no JSON records for it."""
+
     result: dict[str, Any]
     text: Callable[[], str]
     failure: tuple[str, int] | None = None
 
 
 def _render_json(value: Any) -> str:
-    """Exactly ``json.dumps(value, indent=2)``, from chunks joined once."""
+    """Exactly ``json.dumps(value, indent=2, default=_json_default)``, from
+    chunks joined once."""
     chunks: list[str] = []
     _emit(value, "\n", chunks)
     return "".join(chunks)
@@ -99,8 +107,34 @@ def _emit(value: Any, pad: str, chunks: list[str]) -> None:
                 chunks.append(sep)
                 _emit(item, inner, chunks)
         chunks.append(pad + "]")
+    elif kind is schur_ring.SchurExpansion and value:
+        _emit_terms(value, pad, chunks)
     else:  # JSON text holds no raw newline inside a string, so re-padding is safe
-        chunks.append(json.dumps(value, indent=2).replace("\n", pad))
+        chunks.append(json.dumps(value, indent=2, default=_json_default).replace("\n", pad))
+
+
+def _emit_terms(expansion: schur_ring.SchurExpansion, pad: str, chunks: list[str]) -> None:
+    """Append the non-empty ``expansion.to_json_dict()["terms"]`` as ``_emit``
+    would, one ``%`` format per partition length filled straight from each term."""
+    terms = expansion.items()
+    inner, field, part = pad + "  ", pad + "    ", pad + "      "
+    formats = {
+        n: "," + inner + "{" + field + '"partition": '
+        + ("[" + part + ("," + part).join(["%d"] * n) + field + "]" if n else "[]")
+        + "," + field + '"coeff": %d' + inner + "}"
+        for n in {len(lam) for lam, _ in terms}
+    }
+    rows = [formats[len(lam)] % (*lam, coeff) for lam, coeff in terms]
+    rows[0] = "[" + rows[0][1:]  # the first row opens the list where the others have ","
+    chunks += rows
+    chunks.append(pad + "]")
+
+
+def _json_default(value: Any) -> Any:
+    """``json.dumps``'s ``default``: an expansion becomes its JSON terms."""
+    if type(value) is schur_ring.SchurExpansion:
+        return value.to_json_dict()["terms"]
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _seps(opener: str, pad: str) -> Iterator[str]:
@@ -180,7 +214,7 @@ def _cmd_expand(args: argparse.Namespace) -> _Outcome:
     expansion = schur_ring.petrie_schur_expansion(k, m)
     if n is not None:
         expansion = schur_ring.multiply_power_sum(expansion, n)
-    result = expansion.to_json_dict()
+    result: dict[str, Any] = {"degree": expansion.degree, "terms": expansion}
     if args.verify:
         check = oracle.petrie_monomial_vector(k, m)
         if n is not None:
@@ -428,7 +462,7 @@ def main(argv: list[str] | None = None) -> int:
             if _RENDER_BY_HAND:
                 rendered = _render_json(envelope)
             else:
-                rendered = json.dumps(envelope, indent=2)
+                rendered = json.dumps(envelope, indent=2, default=_json_default)
         else:
             rendered = outcome.text()
     except _Refusal as exc:

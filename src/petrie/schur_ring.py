@@ -220,8 +220,10 @@ def verify_witness(
     """Check every structural requirement on a collision witness.
 
     Both lam and mu must carry nonzero k-Petrie numbers, both must grow to
-    lam_plus by a rim hook of size n, and the two signed contributions must
-    agree so the coefficient of s_(lam_plus) has absolute value >= 2.
+    lam_plus by a rim hook of size n, and their two signed contributions to
+    s_(lam_plus) must be equal, so that they reinforce each other.  The other
+    n-hooks removable from lam_plus are not summed, so this does not prove
+    that the coefficient of s_(lam_plus) has absolute value >= 2.
     """
     if lam == mu:
         raise InternalInvariantFailure("witness partitions coincide")

@@ -1,4 +1,5 @@
 import enum
+import hashlib
 import json
 import os
 import runpy
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 from helpers import expansion_from_json, run_cli
 from petrie import (
     InternalInvariantFailure,
+    MonomialVector,
     SchurExpansion,
     petrie_schur_expansion,
     petrie_times_power_sum,
@@ -140,6 +142,28 @@ def test_cli_digests_match_golden():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == (GOLDEN / "cli_digests.txt").read_text()
+
+
+def test_expand_and_multiply_build_no_json_records(monkeypatch):
+    """``result`` holds the expansion itself, so with the hand renderer
+    neither ``--text`` nor ``--json`` calls ``to_json_dict``; the digests pin
+    the JSON bytes, which equal those of the records envelope."""
+
+    def refuse(self):
+        raise AssertionError("to_json_dict called")
+
+    monkeypatch.setattr(SchurExpansion, "to_json_dict", refuse)
+    monkeypatch.setattr(cli_mod, "_RENDER_BY_HAND", True)
+    code, out, err = run_cli(["multiply", "5", "8", "3", "--text"])
+    assert (code, out, err) == (0, (GOLDEN / "multiply_5_8_3.txt").read_text(), "")
+    for flags, digest in [
+        (["--json"], "4a08f05659b0908003031e09e8d56350314c76b99a0a374d09bbde7c019ae4c3"),
+        (["--verify", "--json"],
+         "cdf02c99d69b2ca7bcbcffcbe1c6de3240d18a35ac737818dcee500cdd7200b7"),
+    ]:
+        code, out, err = run_cli(["multiply", "5", "8", "3", *flags])
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestJson:
@@ -334,24 +358,53 @@ class TestRenderJson:
     def test_edge_cases(self, value):
         assert cli_mod._render_json(value) == json.dumps(value, indent=2)
 
+    def test_expansion_renders_as_its_json_records(self):
+        """An expansion renders as its ``to_json_dict()["terms"]``, by hand
+        and through the ``default=`` hook that ``main`` passes from Python
+        3.13 on; both keep the schema written in ``to_json_dict``."""
+        expansions = [
+            petrie_times_power_sum(k, m, n)
+            for k in range(2, 6) for m in range(9) for n in range(1, 5)
+        ] + [
+            SchurExpansion(3, {}),
+            SchurExpansion(0, {(): 1}),
+            SchurExpansion(4, {(4,): 1}),
+            SchurExpansion(7, {(7,): -2, (4, 3): 2**70, (3, 3, 1): -1, (2,) * 3 + (1,): 2}),
+        ]
+        nestings = [lambda v: {"result": v}, lambda v: [{"params": {}, "result": v}, 1]]
+        for f in expansions:
+            for nest in nestings:
+                value = nest({"degree": f.degree, "terms": f})
+                expected = json.dumps(nest(f.to_json_dict()), indent=2)
+                assert cli_mod._render_json(value) == expected
+                assert json.dumps(value, indent=2, default=cli_mod._json_default) == expected
+        for other in [MonomialVector(1, {(1,): 1}), {1, 2}, object()]:
+            with pytest.raises(TypeError):
+                cli_mod._json_default(other)
+
     def test_rendering_memory_is_bounded(self):
         """The fastpath anchor envelope renders with a peak of at most 2.5
-        times its output; a renderer that copies each level's string into its
+        times its output, whether its result holds the JSON records or the
+        expansion itself; a renderer that copies each level's string into its
         parent's peaks above 3."""
+        f = petrie_times_power_sum(7, 43, 11)
         envelope = {
             "command": "multiply",
             "params": {"k": 7, "m": 43, "n": 11, "verify": False},
-            "result": petrie_times_power_sum(7, 43, 11).to_json_dict(),
+            "result": f.to_json_dict(),
             "format_version": cli_mod.FORMAT_VERSION,
         }
-        tracemalloc.start()
-        try:
-            out = cli_mod._render_json(envelope)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert out == json.dumps(envelope, indent=2)
-        assert peak <= 2.5 * len(out)
+        expected = json.dumps(envelope, indent=2)
+        for result in [envelope["result"], {"degree": f.degree, "terms": f}]:
+            envelope["result"] = result
+            tracemalloc.start()
+            try:
+                out = cli_mod._render_json(envelope)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert out == expected
+            assert peak <= 2.5 * len(out)
 
     def test_large_envelope_is_indent_2(self):
         code, out, err = run_cli(["multiply", "7", "43", "11", "--json"])
