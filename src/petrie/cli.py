@@ -18,18 +18,20 @@ JSON output is byte for byte ``json.dumps(envelope, indent=2)`` plus a
 newline, where a ``SchurExpansion`` in a ``result`` stands for its
 ``to_json_dict()["terms"]``.  Before Python 3.13 ``indent`` turns off the C
 encoder, so ``main`` renders with ``_render_json``, which writes an expansion
-from its own terms, one ``%`` format per partition length; from 3.13 on it
-calls ``json.dumps`` with ``default=_json_default``.  The renderer appends
-chunks to one list and joins it once.  A list of exact ints, of non-empty
-lists or tuples of exact ints, or of records is rendered a column at a time:
-ints by ``int.__repr__``, int lists by one ``%d`` format per length.
+from its own terms, one f-string per term whose parts are joined from a table
+of decimal strings; from 3.13 on it calls ``json.dumps`` with
+``default=_json_default``.  The renderer appends chunks to one list and joins
+it once.  A list of exact ints, of non-empty lists or tuples of exact ints,
+or of records is rendered a column at a time: ints by ``int.__repr__``, int
+lists by one ``%d`` format per length.
 Records are dicts with one shared order of ``str`` keys, each field of which,
 taken across the records, is again such a list.  Only exact types qualify,
 since ``"%d" % True`` is ``1`` where JSON says ``true``: bools, ``IntEnum``,
 ``NamedTuple`` and empty containers take the generic path, and whatever the
 renderer does not know goes to ``json.dumps``.
 
-Exit codes: 0 ok, 2 bad arguments, 3 verification mismatch, evaluator
+Exit codes: 0 ok, 1 stdout closed before the output was written (as by
+``| head``), 2 bad arguments, 3 verification mismatch, evaluator
 disagreement or a failed internal invariant (a defect), 4 witness requested
 in the signed-multiplicity-free region, 5 sweep/classify disagreement with
 the closed form.
@@ -54,6 +56,7 @@ from .petrie_numbers import pet_det, pet_grinberg, pet_rimhook
 FORMAT_VERSION = "1.0.0"
 
 EXIT_OK = 0
+EXIT_CLOSED_PIPE = 1
 EXIT_BAD_ARGS = 2
 EXIT_VERIFY_MISMATCH = 3
 EXIT_WITNESS_IN_SMF_REGION = 4
@@ -107,24 +110,24 @@ def _emit(value: Any, pad: str, chunks: list[str]) -> None:
                 chunks.append(sep)
                 _emit(item, inner, chunks)
         chunks.append(pad + "]")
-    elif kind is schur_ring.SchurExpansion and value:
+    elif kind is schur_ring.SchurExpansion and value.degree and value:
         _emit_terms(value, pad, chunks)
     else:  # JSON text holds no raw newline inside a string, so re-padding is safe
         chunks.append(json.dumps(value, indent=2, default=_json_default).replace("\n", pad))
 
 
 def _emit_terms(expansion: schur_ring.SchurExpansion, pad: str, chunks: list[str]) -> None:
-    """Append the non-empty ``expansion.to_json_dict()["terms"]`` as ``_emit``
-    would, one ``%`` format per partition length filled straight from each term."""
+    """Append ``expansion.to_json_dict()["terms"]`` as ``_emit`` would, for a
+    non-empty expansion of positive degree.  Each row joins its parts from a
+    table of decimal strings, sized by the first term's first part: in
+    canonical order that is the largest part of all."""
     terms = expansion.items()
     inner, field, part = pad + "  ", pad + "    ", pad + "      "
-    formats = {
-        n: "," + inner + "{" + field + '"partition": '
-        + ("[" + part + ("," + part).join(["%d"] * n) + field + "]" if n else "[]")
-        + "," + field + '"coeff": %d' + inner + "}"
-        for n in {len(lam) for lam, _ in terms}
-    }
-    rows = [formats[len(lam)] % (*lam, coeff) for lam, coeff in terms]
+    digit = list(map(int.__repr__, range(terms[0][0][0] + 1))).__getitem__
+    join = ("," + part).join
+    head = "," + inner + "{" + field + '"partition": [' + part
+    mid, tail = field + "]," + field + '"coeff": ', inner + "}"
+    rows = [f"{head}{join(map(digit, lam))}{mid}{coeff}{tail}" for lam, coeff in terms]
     rows[0] = "[" + rows[0][1:]  # the first row opens the list where the others have ","
     chunks += rows
     chunks.append(pad + "]")
@@ -371,6 +374,17 @@ def _cmd_verify_liu_polo(args: argparse.Namespace) -> _Outcome:
 
 
 _VERIFY = ("--verify", {"action": "store_true", "help": "cross-check via the oracle"})
+_METHODS = ("det", "grinberg", "rimhook", "all")
+
+
+def _method(text: str) -> str:
+    """``pet --method``'s value.  A type check, not ``choices``, so the error
+    reads the same on every Python: 3.13 stopped quoting the choices."""
+    if text not in _METHODS:
+        choices = ", ".join(map(repr, _METHODS))
+        raise argparse.ArgumentTypeError(f"invalid choice: {text!r} (choose from {choices})")
+    return text
+
 
 # name, handler, help, operands (ints, except a partition), flags as
 # (flag, add_argument keywords) pairs, extra params.
@@ -382,7 +396,8 @@ _VERBS = (
     ),
     (
         "pet", _cmd_pet, "k-Petrie coefficient of a partition", ("partition", "k"),
-        (("--method", {"choices": ["det", "grinberg", "rimhook", "all"], "default": "det"}),),
+        (("--method", {"type": _method, "default": "det",
+                       "metavar": "{" + ",".join(_METHODS) + "}"}),),
         ("method",),
     ),
     (
@@ -472,19 +487,23 @@ def main(argv: list[str] | None = None) -> int:
     except PetrieError as exc:
         return _fail(str(exc), EXIT_BAD_ARGS)
     out = getattr(args, "out", None)  # only sweep has --out
-    if not out:
-        print(rendered)
-    else:
+    if out:
         try:
             with open(out, "w", encoding="utf-8") as stream:
                 print(rendered, file=stream)
         except OSError as exc:
             return _fail(f"cannot write --out file {out}: {exc.strerror}", EXIT_BAD_ARGS)
         result = outcome.result
-        print(
+        rendered = (
             f"report written to {out}: {len(result['non_smf'])} non-SMF triples,"
             f" {len(result['disagreements'])} disagreements"
         )
+    try:  # flushed here, so a reader that is gone shows up here and not at exit
+        print(rendered, flush=True)
+    except BrokenPipeError:
+        # Whatever is still buffered goes to devnull, so the flush at exit stays quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED_PIPE
     if outcome.failure:
         return _fail(*outcome.failure)
     return EXIT_OK

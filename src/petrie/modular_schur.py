@@ -40,7 +40,7 @@ def _power_sum_vector(mu: Partition) -> SchurExpansion:
         if mu:
             cached = multiply_power_sum(_power_sum_vector(mu[:-1]), mu[-1])
         else:
-            cached = SchurExpansion._from_canonical(0, [((), 1)])
+            cached = SchurExpansion._from_canonical(0, {(): 1})
         _PRODUCT_CACHE[mu] = cached
     return cached
 
@@ -74,7 +74,7 @@ def _row(
         row[nu], rest = divmod(c, scale)
         if rest:
             raise InternalInvariantFailure(f"entry ({lam}, {nu}) is not an integer")
-    return SchurExpansion._from_canonical(m, row.items())
+    return SchurExpansion._from_canonical(m, row)
 
 
 def modular_schur_expansion(k: int, lam: Partition) -> SchurExpansion:

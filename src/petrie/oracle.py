@@ -40,14 +40,14 @@ def petrie_monomial_vector(k: int, m: int) -> MonomialVector:
     if k < 1 or m < 0:
         raise ValueError("need k >= 1 and m >= 0")
     support = partitions_of(m, k - 1)
-    return MonomialVector._from_canonical(m, ((lam, 1) for lam in support))
+    return MonomialVector._from_canonical(m, dict.fromkeys(support, 1))
 
 
 def power_sum_monomial_vector(n: int) -> MonomialVector:
     """The n-th power sum, which is the single monomial function m_(n)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return MonomialVector._from_canonical(n, [((n,), 1)])
+    return MonomialVector._from_canonical(n, {(n,): 1})
 
 
 def _inner_shapes_after_strip(shape: Partition, size: int) -> Iterator[Partition]:
@@ -101,7 +101,7 @@ def schur_monomial_vector(lam: Partition) -> MonomialVector:
     lam = as_partition(lam)
     degree = sum(lam)
     return MonomialVector._from_canonical(
-        degree, ((mu, kostka_number(lam, mu)) for mu in partitions_of(degree))
+        degree, {mu: c for mu in partitions_of(degree) if (c := kostka_number(lam, mu))}
     )
 
 
@@ -120,7 +120,7 @@ def monomial_to_schur(v: MonomialVector) -> SchurExpansion:
             coeff -= c * kostka_number(nu, lam)
         if coeff:
             out[lam] = coeff
-    return SchurExpansion._from_canonical(degree, out.items())
+    return SchurExpansion._from_canonical(degree, out)
 
 
 def _run_lengths(seq) -> list[int]:
@@ -180,4 +180,4 @@ def poly_multiply_extract(f: MonomialVector, g: MonomialVector) -> MonomialVecto
         )
         for mu in (partitions_of(degree) if f._terms else ())
     }
-    return MonomialVector._from_canonical(degree, coeffs.items())
+    return MonomialVector._from_canonical(degree, coeffs)

@@ -52,7 +52,7 @@ def parse_partition(text: str) -> Partition:
 
 def format_partition(lam: Sequence[int]) -> str:
     """Render a partition in the bracketed text form, ``[]`` when empty."""
-    return "[" + ",".join(str(p) for p in lam) + "]"
+    return "[" + ",".join(map(str, lam)) + "]"
 
 
 def conjugate(lam: Partition) -> Partition:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import os
 from functools import partial
-from typing import Iterable, Mapping, NamedTuple
+from typing import Mapping, NamedTuple
 
 from .errors import InternalInvariantFailure, PreconditionViolated
 from .partitions import (
@@ -57,13 +57,15 @@ class _HomogeneousVector:
         self._terms = clean
 
     @classmethod
-    def _from_canonical(cls, degree: int, terms: Iterable[tuple[Partition, int]]):
-        """Build from ``(partition, coefficient)`` pairs whose keys are
-        canonical partitions of ``degree``; zero coefficients are dropped
-        and nothing is validated."""
+    def _from_canonical(cls, degree: int, terms: dict[Partition, int]):
+        """Adopt ``terms``, whose keys are canonical partitions of ``degree``,
+        without copying it: the caller gives the dict up.  Its zero
+        coefficients are deleted in place and nothing is validated."""
+        for lam in [lam for lam, coeff in terms.items() if not coeff]:
+            del terms[lam]
         self = cls.__new__(cls)
         self._degree = degree
-        self._terms = {lam: coeff for lam, coeff in terms if coeff}
+        self._terms = terms
         return self
 
     @property
@@ -160,7 +162,7 @@ def petrie_schur_expansion(k: int, m: int) -> SchurExpansion:
         raise ValueError("m must be >= 0")
     if k == 1:
         return SchurExpansion(m, {(): 1} if m == 0 else {})
-    return SchurExpansion._from_canonical(m, grinberg_support(k, m))
+    return SchurExpansion._from_canonical(m, dict(grinberg_support(k, m)))
 
 
 def multiply_power_sum(f: SchurExpansion, n: int) -> SchurExpansion:
@@ -177,7 +179,7 @@ def multiply_power_sum(f: SchurExpansion, n: int) -> SchurExpansion:
         raise ValueError("power sum index must be >= 1")
     acc: dict[Partition, int] = {}
     _add_signed_rim_hooks(acc, _bead_views(f._terms.items(), n), n)
-    return SchurExpansion._from_canonical(f.degree + n, acc.items())
+    return SchurExpansion._from_canonical(f.degree + n, acc)
 
 
 def petrie_times_power_sum(k: int, m: int, n: int) -> SchurExpansion:

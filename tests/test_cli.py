@@ -370,6 +370,11 @@ class TestRenderJson:
             SchurExpansion(0, {(): 1}),
             SchurExpansion(4, {(4,): 1}),
             SchurExpansion(7, {(7,): -2, (4, 3): 2**70, (3, 3, 1): -1, (2,) * 3 + (1,): 2}),
+            # Parts of three and four digits, and a degree-0 term: the digit
+            # table must reach the largest part, and () has no first part.
+            petrie_times_power_sum(2, 5, 150),
+            SchurExpansion(1000, {(1000,): 1, (999, 1): -1}),
+            SchurExpansion(0, {(): -3}),
         ]
         nestings = [lambda v: {"result": v}, lambda v: [{"params": {}, "result": v}, 1]]
         for f in expansions:
@@ -605,6 +610,19 @@ class TestSubprocess:
         )
         assert proc.returncode == 0
         assert proc.stdout == "s[1,1,1]\n"
+
+    def test_closed_stdout_exits_quietly(self):
+        # About 400 KB of JSON, far more than the pipe holds once the reader is gone.
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "petrie", "multiply", "7", "43", "11", "--json"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert err == b""
+        assert proc.returncode == cli_mod.EXIT_CLOSED_PIPE == 1
 
     def test_sweep_with_jobs(self):
         proc = subprocess.run(

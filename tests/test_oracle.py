@@ -27,9 +27,11 @@ class TestMonomialVector:
 
     def test_trusted_constructor_drops_zeros(self):
         for cls in (MonomialVector, SchurExpansion):
-            vec = cls._from_canonical(2, [((2,), 0), ((1, 1), 3)])
+            terms = {(2,): 0, (1, 1): 3}
+            vec = cls._from_canonical(2, terms)
             assert vec.items() == [((1, 1), 3)]
             assert vec == cls(2, {(1, 1): 3})
+            assert vec._terms is terms  # adopted, not copied
 
     def test_never_equals_schur_expansion(self):
         terms = {(2, 1): 1, (1, 1, 1): 2}

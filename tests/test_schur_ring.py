@@ -206,6 +206,10 @@ class TestMultiplyPowerSum:
             ((2, 1, 1), -1),
             ((1, 1, 1, 1), -1),
         ]
+        # G(3,3)*p_1 = (s[2,1] - s[1,1,1])*p_1: both terms reach [2,1,1] and cancel
+        f = petrie_times_power_sum(3, 3, 1)
+        assert (2, 1, 1) not in f.support()
+        assert f.items() == [((3, 1), 1), ((2, 2), 1), ((1, 1, 1, 1), -1)]
 
 
 class TestPetrieTimesPowerSum:
