@@ -9,7 +9,9 @@ monomials x^mu are computed, since they determine the symmetric product.
 Monomial vectors are converted to the Schur basis by back-substitution
 against Kostka numbers, which come from one route: the recursion of
 ``kostka_number``, peeling the largest content part off as a horizontal
-strip.  ``MonomialVector`` shares its base with ``SchurExpansion``; vectors
+strip.  The inner shapes a strip can leave are enumerated once per
+``(shape, size)`` and kept as an immutable tuple shared by every content.
+``MonomialVector`` shares its base with ``SchurExpansion``; vectors
 built here skip its key validation.  None of the algorithms here touch the
 determinant, gamma, or rim-hook evaluators they are used to check: the
 oracle shares no algorithm with the fast path, and that is the point.
@@ -50,8 +52,15 @@ def power_sum_monomial_vector(n: int) -> MonomialVector:
     return MonomialVector._from_canonical(n, {(n,): 1})
 
 
-def _inner_shapes_after_strip(shape: Partition, size: int) -> Iterator[Partition]:
-    """All nu contained in ``shape`` with shape/nu a horizontal strip of ``size``."""
+@lru_cache(maxsize=None)
+def _inner_shapes_after_strip(shape: Partition, size: int) -> tuple[Partition, ...]:
+    """All nu contained in ``shape`` with shape/nu a horizontal strip of ``size``.
+
+    The strips depend on ``(shape, size)`` alone, so each pair is enumerated
+    once and the tuple is shared by every content whose first part is
+    ``size``; it is immutable, since a caller that changed it would change
+    every later Kostka number.
+    """
 
     def rec(i: int, remaining: int, prefix: Partition) -> Iterator[Partition]:
         if i == len(shape):
@@ -69,7 +78,7 @@ def _inner_shapes_after_strip(shape: Partition, size: int) -> Iterator[Partition
             # Parts never increase, so dropping a zero part strips trailing zeros.
             yield from rec(i + 1, remaining - removed, prefix + (part,) if part else prefix)
 
-    yield from rec(0, size, ())
+    return tuple(rec(0, size, ()))
 
 
 @lru_cache(maxsize=None)
@@ -82,6 +91,9 @@ def kostka_number(shape: Partition, content: Partition) -> int:
     the largest letter is given multiplicity ``content[0]`` and peeled off
     first as a horizontal strip, leaving the partition ``content[1:]``.  The
     recursion is memoized but the values come from tableau combinatorics.
+    The strips come from ``_inner_shapes_after_strip``, whose immutable
+    tuples are computed once per ``(shape, content[0])`` and shared by every
+    content with that first part.
     """
     if sum(shape) != sum(content):
         return 0

@@ -93,7 +93,7 @@ class TestKostka:
     def test_strip_removal_matches_filtering(self):
         # Every nu inside the shape whose complement is a horizontal strip
         # (no two removed cells in one column: nu_i >= shape_(i+1)).
-        for degree in range(10):
+        for degree in range(13):
             for shape in partitions_of(degree):
                 below = shape[1:] + (0,)
                 for size in range(degree + 1):
@@ -107,6 +107,19 @@ class TestKostka:
                     ]
                     found = list(_inner_shapes_after_strip(shape, size))
                     assert sorted(found, reverse=True) == expected, (shape, size)
+
+    def test_strip_lists_are_shared_and_immutable(self):
+        # A mutable list in the cache would let one caller change every later
+        # Kostka number; one enumeration per (shape, size) is the saving.
+        strips = _inner_shapes_after_strip((4, 2, 1), 3)
+        assert isinstance(strips, tuple)
+        assert _inner_shapes_after_strip((4, 2, 1), 3) is strips
+        kostka_number.cache_clear()
+        _inner_shapes_after_strip.cache_clear()
+        monomial_to_schur(petrie_monomial_vector(6, 14))
+        info = _inner_shapes_after_strip.cache_info()
+        assert info.hits > 0
+        assert info.misses == info.currsize
 
     def test_unitriangular(self):
         for degree in range(11):
