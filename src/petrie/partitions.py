@@ -6,11 +6,17 @@ pure, and every returned list of partitions is in canonical order: graded
 reverse-lexicographic, largest first (for equal sizes this is plain
 descending tuple comparison).
 
-Rim hooks are added by one bead rule, :func:`_add_signed_rim_hooks`, on
-bead views built once per term for every hook size up to a ``reach``
-(:func:`_bead_views`): a scan pointer to the first bead at or below the
-target decides whether the target is occupied, and each hook's parts are
-cut from the view with slices.
+Rim hooks are added by one bead rule on bead views built once per term for
+every hook size up to a ``reach``: a scan pointer to the first bead at or
+below the target decides whether the target is occupied, and the beads it
+passes give the height.  The rule has two accumulator keys.
+:func:`_add_signed_rim_hooks` (views from :func:`_bead_views`) keys each
+``lam_plus`` by its parts, cut from the view with slices; every product
+that is printed uses it.  :func:`_add_signed_hook_masks` (views from
+:func:`_bead_masks`) keys it by an integer with one bit per bead, two bits
+flipped from the term's own; the sweep uses it, since it reads only the
+verdict and decodes one key (:func:`_mask_partition`).  For partitions of
+one size, masks in one ``floor`` sort as the partitions do.
 """
 
 from __future__ import annotations
@@ -221,6 +227,68 @@ def _add_signed_rim_hooks(acc: dict[Partition, int], views: list[_BeadView], n: 
                 continue
             lam_plus = lam[:j0] + (t + j0,) + plus1[j0:idx] + lam[idx + 1 :]
             acc[lam_plus] = acc.get(lam_plus, 0) + (-coeff if (idx - j0) % 2 else coeff)
+
+
+_MaskView = tuple[int, int, int, list[int]]
+
+
+def _bead_masks(
+    terms: Iterable[tuple[Partition, int]], reach: int
+) -> tuple[list[_MaskView], int]:
+    """One ``(mask, coeff, len(lam), beads)`` view per term, for rim hooks
+    of every size ``n <= reach``, and the ``floor`` their masks share;
+    nothing is validated.
+
+    With floor = max len(lam) + reach, bead i sits at pad_i - i + floor for
+    i < floor (``pad``: ``lam`` followed by zeros), so every bead is at 1 or
+    above, and ``mask`` has one bit per bead.  Every ``lam_plus`` of a hook
+    of size n <= reach has at most ``floor`` parts, so its mask in the same
+    ``floor`` is that of ``lam`` with one bead moved.
+    """
+    terms = list(terms)
+    floor = max((len(lam) for lam, _ in terms), default=0) + reach
+    views = []
+    for lam, coeff in terms:
+        pad = lam + (0,) * (floor - len(lam))
+        beads = [p - i + floor for i, p in enumerate(pad)]
+        views.append((sum(1 << b for b in beads), coeff, len(lam), beads))
+    return views, floor
+
+
+def _add_signed_hook_masks(acc: dict[int, int], views: list[_MaskView], n: int) -> None:
+    """:func:`_add_signed_rim_hooks` keyed by bead masks: add ``coeff *
+    (-1)^height`` into ``acc`` at the mask of ``lam_plus`` for every rim
+    hook of size ``n`` (views from :func:`_bead_masks` with ``reach >= n``).
+
+    The scan pointer and the height parity are those of the tuple kernel;
+    only the key differs: moving bead b to the free t = b+n flips two bits.
+    """
+    for mask, coeff, length, beads in views:
+        j0 = 0
+        for idx in range(length + n):
+            b = beads[idx]
+            t = b + n
+            while beads[j0] > t:
+                j0 += 1
+            if beads[j0] == t:
+                continue
+            key = mask ^ (1 << b) ^ (1 << t)
+            acc[key] = acc.get(key, 0) + (-coeff if (idx - j0) % 2 else coeff)
+
+
+def _mask_partition(mask: int, floor: int) -> Partition:
+    """The partition whose beads, placed as in :func:`_bead_masks`, are the
+    set bits of ``mask``: the i-th highest bit p gives part p + i - floor,
+    and the first zero part (or the last bit) ends it."""
+    parts = []
+    while mask:
+        top = mask.bit_length() - 1
+        part = top + len(parts) - floor
+        if not part:
+            break
+        parts.append(part)
+        mask ^= 1 << top
+    return tuple(parts)
 
 
 def _signed_rim_hooks(lam: Partition, n: int) -> dict[Partition, int]:

@@ -19,8 +19,11 @@ from .errors import InternalInvariantFailure, PreconditionViolated
 from .partitions import (
     Partition,
     SkewShape,
+    _add_signed_hook_masks,
     _add_signed_rim_hooks,
+    _bead_masks,
     _bead_views,
+    _mask_partition,
     _signed_rim_hooks,
     as_partition,
     contains,
@@ -192,11 +195,17 @@ def is_signed_multiplicity_free(f: SchurExpansion) -> SmfVerdict:
     return _smf_verdict(f._terms)
 
 
-def _smf_verdict(terms: Mapping[Partition, int]) -> SmfVerdict:
+def _smf_verdict(terms: Mapping[Partition | int, int]) -> SmfVerdict:
     """The verdict on a coefficient map, which may hold cancelled zeros.
 
-    The offending term is the largest key with |coefficient| >= 2, which is
-    the first such term in canonical order; no full sort is needed.
+    Keys are either partitions of one size or the bead masks of such
+    partitions in one ``floor`` (:func:`~petrie.partitions._bead_masks`),
+    and an offending mask is returned undecoded.  The offending term is the
+    largest key with |coefficient| >= 2, which is the first such term in
+    canonical order; no full sort is needed.  Masks order terms as the
+    partitions do: at the first part where two partitions differ, the
+    larger part's bead is the highest bit set in one mask and not in the
+    other.
     """
     if max(map(abs, terms.values()), default=0) < 2:
         return SmfVerdict(signed_multiplicity_free=True)
@@ -371,16 +380,19 @@ def _sweep_pair(
     km: tuple[int, int], n_max: int
 ) -> tuple[list[NonSmfEntry], list[tuple[int, int, int]]]:
     """The non-SMF entries and the disagreements for (k, m, n), n = 1..n_max,
-    from one expansion of G(k, m) and one set of its bead views, reused for
-    every p_n.  Each verdict is read straight from the product's
-    accumulator, cancelled zeros and all; no expansion is built for it."""
+    from one expansion of G(k, m) and one set of its bead-mask views, reused
+    for every p_n.  Each product's accumulator is keyed by the bead mask of
+    ``lam_plus``, not by its parts, and each verdict is read straight from
+    it, cancelled zeros and all; no expansion is built for it.  The largest
+    offending mask is the first offending term in canonical order
+    (:func:`_smf_verdict`), and it is the only mask decoded."""
     k, m = km
-    views = _bead_views(petrie_schur_expansion(k, m)._terms.items(), n_max)
+    views, floor = _bead_masks(petrie_schur_expansion(k, m)._terms.items(), n_max)
     entries: list[NonSmfEntry] = []
     disagreements: list[tuple[int, int, int]] = []
     for n in range(1, n_max + 1):
-        acc: dict[Partition, int] = {}
-        _add_signed_rim_hooks(acc, views, n)
+        acc: dict[int, int] = {}
+        _add_signed_hook_masks(acc, views, n)
         verdict = _smf_verdict(acc)
         predicted = classify_smf(k, m, n)
         if verdict.signed_multiplicity_free != predicted:
@@ -391,8 +403,8 @@ def _sweep_pair(
             except InternalInvariantFailure:
                 disagreements.append((k, m, n))
                 continue
-            offending, coeff = verdict.offending
-            entries.append(NonSmfEntry(k, m, n, offending, coeff, witness))
+            mask, coeff = verdict.offending
+            entries.append(NonSmfEntry(k, m, n, _mask_partition(mask, floor), coeff, witness))
     return entries, disagreements
 
 

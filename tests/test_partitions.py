@@ -30,8 +30,10 @@ from petrie import (
 )
 from petrie.partitions import (
     _add_signed_rim_hooks,
+    _bead_masks,
     _bead_views,
     _dominates,
+    _mask_partition,
     _signed_rim_hooks,
 )
 
@@ -294,6 +296,34 @@ class TestAddRemove:
                         signed = {}
                         _add_signed_rim_hooks(signed, _bead_views([(lam, 1)], reach), n)
                         assert signed == expected, (lam, n, reach)
+
+
+def _reference_mask(lam, floor):
+    # bead i of the first `floor` at lam_i - i + floor, missing parts read as 0
+    pad = lam + (0,) * (floor - len(lam))
+    return sum(1 << (p - i + floor) for i, p in enumerate(pad))
+
+
+class TestBeadMasks:
+    def test_every_floor_decodes_back(self):
+        # floor == len(lam) leaves no zero-part bead: the bits run out first
+        for m in range(13):
+            for lam in partitions_of(m):
+                for reach in range(4):
+                    (view,), floor = _bead_masks([(lam, 1)], reach)
+                    assert floor == len(lam) + reach
+                    assert view[0] == _reference_mask(lam, floor)
+                    assert _mask_partition(view[0], floor) == lam, (lam, floor)
+
+    def test_masks_of_one_size_sort_canonically(self):
+        # _smf_verdict takes the largest key as the first term in canonical order
+        for m in range(13):
+            lams = partitions_of(m)
+            for reach in range(3):
+                views, floor = _bead_masks([(lam, 1) for lam in lams], reach)
+                masks = [view[0] for view in views]
+                assert sorted(masks, reverse=True) == masks, (m, reach)
+                assert [_mask_partition(mask, floor) for mask in masks] == lams
 
 
 class TestPartitionsOf:

@@ -27,7 +27,13 @@ from petrie import (
     sweep_smf,
     witness_non_smf,
 )
-from petrie.partitions import _add_signed_rim_hooks, _bead_views
+from petrie.partitions import (
+    _add_signed_hook_masks,
+    _add_signed_rim_hooks,
+    _bead_masks,
+    _bead_views,
+    _mask_partition,
+)
 from petrie.schur_ring import verify_witness
 
 
@@ -196,6 +202,28 @@ class TestMultiplyPowerSum:
                     _add_signed_rim_hooks(acc, views, n)
                     shared = {lam: coeff for lam, coeff in acc.items() if coeff}
                     assert shared == dict(multiply_power_sum(f, n).items()), (k, m, n)
+
+    def test_mask_keys_decode_to_the_tuple_accumulator(self):
+        # the sweep's accumulator, keyed by bead masks, against the tuple
+        # kernel's at the same shared reach: every key, cancelled zeros too
+        for k in range(2, 8):
+            for m in range(15):
+                terms = petrie_schur_expansion(k, m).items()
+                views = _bead_views(terms, 8)
+                masks, floor = _bead_masks(terms, 8)
+                for n in range(1, 9):
+                    by_parts, by_mask = {}, {}
+                    _add_signed_rim_hooks(by_parts, views, n)
+                    _add_signed_hook_masks(by_mask, masks, n)
+                    decoded = {_mask_partition(key, floor): c for key, c in by_mask.items()}
+                    assert len(decoded) == len(by_mask), (k, m, n)
+                    assert decoded == by_parts, (k, m, n)
+        # G(3,3)*p_1: both hooks onto [2,1,1] cancel, and the zero stays
+        masks, floor = _bead_masks(petrie_schur_expansion(3, 3).items(), 1)
+        by_mask = {}
+        _add_signed_hook_masks(by_mask, masks, 1)
+        decoded = {_mask_partition(key, floor): c for key, c in by_mask.items()}
+        assert decoded == {(3, 1): 1, (2, 2): 1, (2, 1, 1): 0, (1, 1, 1, 1): -1}
 
     def test_cancelled_terms_are_not_stored(self):
         # s[2]*p_2 = s[4] + s[2,2] - s[2,1,1]; s[1,1]*p_2 = s[3,1] - s[2,2] - s[1,1,1,1]
