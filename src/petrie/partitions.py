@@ -6,17 +6,18 @@ pure, and every returned list of partitions is in canonical order: graded
 reverse-lexicographic, largest first (for equal sizes this is plain
 descending tuple comparison).
 
-Rim hooks are added by one bead rule on bead views built once per term for
-every hook size up to a ``reach``: a scan pointer to the first bead at or
-below the target decides whether the target is occupied, and the beads it
-passes give the height.  The rule has two accumulator keys.
-:func:`_add_signed_rim_hooks` (views from :func:`_bead_views`) keys each
-``lam_plus`` by its parts, cut from the view with slices; every product
-that is printed uses it.  :func:`_add_signed_hook_masks` (views from
-:func:`_bead_masks`) keys it by an integer with one bit per bead, two bits
-flipped from the term's own; the sweep uses it, since it reads only the
-verdict and decodes one key (:func:`_mask_partition`).  For partitions of
-one size, masks in one ``floor`` sort as the partitions do.
+Rim hooks are added by one bead rule: a scan pointer to the first bead at
+or below the target decides whether the target is occupied, and the beads
+it passes give the height.  The rule has two kernels with one call shape,
+terms (or their views) and a hook size in, the signed coefficient map out,
+cancelled zeros kept.  :func:`_signed_rim_hooks` builds each term's beads
+for one ``n`` and keys each ``lam_plus`` by its parts, cut with slices;
+every product that is printed uses it.  :func:`_signed_hook_masks` keys it
+by an integer with one bit per bead, two bits flipped from the term's own,
+on views (:func:`_bead_masks`) built once for every hook size up to a
+``reach``; the sweep uses it, since it reads only the verdict and decodes
+one key (:func:`_mask_partition`).  For partitions of one size, masks in
+one ``floor`` sort as the partitions do.
 """
 
 from __future__ import annotations
@@ -171,40 +172,24 @@ def add_rim_hooks(lam: Partition, n: int) -> list[Partition]:
     """All partitions obtained from ``lam`` by adding one rim hook of size n.
 
     ``lam`` is validated once here; the additions come from the bead rule
-    of :func:`_add_signed_rim_hooks`, one per legal bead move b -> b+n.
+    of :func:`_signed_rim_hooks`, one per legal bead move b -> b+n.
     """
     lam = as_partition(lam)
     if n < 1:
         raise ValueError("hook size must be >= 1")
-    return sorted(_signed_rim_hooks(lam, n), reverse=True)
+    return sorted(_signed_rim_hooks([(lam, 1)], n), reverse=True)
 
 
-_BeadView = tuple[Partition, int, list[int], tuple[int, ...]]
+def _signed_rim_hooks(terms: Iterable[tuple[Partition, int]], n: int) -> dict[Partition, int]:
+    """``{lam_plus: sum of coeff * (-1)^height}`` over every rim hook of size
+    ``n >= 1`` added to every term's canonical ``lam``; sums that cancel stay
+    as zeros, and nothing is validated.
 
-
-def _bead_views(terms: Iterable[tuple[Partition, int]], reach: int) -> list[_BeadView]:
-    """One ``(lam, coeff, beads, plus1)`` view per term, ready for rim hooks
-    of every size ``n <= reach``; nothing is validated.
-
-    With ``pad`` the parts of ``lam`` followed by ``reach`` zeros, bead i
-    sits at pad_i - i (the first-column hook lengths of :func:`beta_set`
-    lowered by len(pad) - 1, which moves no bead relative to another), and
-    ``plus1`` holds pad_i + 1.  A hook of size n moves only one of the
-    first len(lam) + n beads: every later bead b has b+n among the
-    consecutive beads of the zero parts.
-    """
-    views = []
-    for lam, coeff in terms:
-        pad = lam + (0,) * reach
-        beads = [p - i for i, p in enumerate(pad)]
-        views.append((lam, coeff, beads, tuple(p + 1 for p in pad)))
-    return views
-
-
-def _add_signed_rim_hooks(acc: dict[Partition, int], views: list[_BeadView], n: int) -> None:
-    """Add ``coeff * (-1)^height`` into ``acc`` at ``lam_plus`` for every rim
-    hook of size ``n`` added to every view's ``lam`` (views built with
-    ``reach >= n``).
+    With ``pad`` the parts of ``lam`` followed by ``n`` zeros, bead i sits at
+    pad_i - i (the first-column hook lengths of :func:`beta_set` lowered by
+    len(pad) - 1, which moves no bead relative to another), and ``plus1``
+    holds pad_i + 1.  A hook moves only one of the first len(lam) + n beads:
+    every later bead b has b+n among the consecutive beads of the zero parts.
 
     A bead b may move to t = b+n iff t is free.  A scan pointer j0 walks to
     the first bead at or below t; it only moves forward as b falls, and t is
@@ -217,7 +202,11 @@ def _add_signed_rim_hooks(acc: dict[Partition, int], views: list[_BeadView], n: 
     :func:`rim_hook_height` is its checked definition.  One partition never
     yields two equal hooks.
     """
-    for lam, coeff, beads, plus1 in views:
+    acc: dict[Partition, int] = {}
+    for lam, coeff in terms:
+        pad = lam + (0,) * n
+        beads = [p - i for i, p in enumerate(pad)]
+        plus1 = tuple(p + 1 for p in pad)
         j0 = 0
         for idx in range(len(lam) + n):
             t = beads[idx] + n
@@ -227,6 +216,7 @@ def _add_signed_rim_hooks(acc: dict[Partition, int], views: list[_BeadView], n: 
                 continue
             lam_plus = lam[:j0] + (t + j0,) + plus1[j0:idx] + lam[idx + 1 :]
             acc[lam_plus] = acc.get(lam_plus, 0) + (-coeff if (idx - j0) % 2 else coeff)
+    return acc
 
 
 _MaskView = tuple[int, int, int, list[int]]
@@ -255,14 +245,15 @@ def _bead_masks(
     return views, floor
 
 
-def _add_signed_hook_masks(acc: dict[int, int], views: list[_MaskView], n: int) -> None:
-    """:func:`_add_signed_rim_hooks` keyed by bead masks: add ``coeff *
-    (-1)^height`` into ``acc`` at the mask of ``lam_plus`` for every rim
-    hook of size ``n`` (views from :func:`_bead_masks` with ``reach >= n``).
+def _signed_hook_masks(views: list[_MaskView], n: int) -> dict[int, int]:
+    """:func:`_signed_rim_hooks` keyed by bead masks: ``{mask of lam_plus:
+    sum of coeff * (-1)^height}`` over every rim hook of size ``n`` added to
+    every view (views from :func:`_bead_masks` with ``reach >= n``).
 
     The scan pointer and the height parity are those of the tuple kernel;
     only the key differs: moving bead b to the free t = b+n flips two bits.
     """
+    acc: dict[int, int] = {}
     for mask, coeff, length, beads in views:
         j0 = 0
         for idx in range(length + n):
@@ -274,6 +265,7 @@ def _add_signed_hook_masks(acc: dict[int, int], views: list[_MaskView], n: int) 
                 continue
             key = mask ^ (1 << b) ^ (1 << t)
             acc[key] = acc.get(key, 0) + (-coeff if (idx - j0) % 2 else coeff)
+    return acc
 
 
 def _mask_partition(mask: int, floor: int) -> Partition:
@@ -289,14 +281,6 @@ def _mask_partition(mask: int, floor: int) -> Partition:
         parts.append(part)
         mask ^= 1 << top
     return tuple(parts)
-
-
-def _signed_rim_hooks(lam: Partition, n: int) -> dict[Partition, int]:
-    """``{lam_plus: (-1)^height}`` for the rim hooks of size ``n >= 1`` added
-    to the canonical partition ``lam``; nothing is validated."""
-    acc: dict[Partition, int] = {}
-    _add_signed_rim_hooks(acc, _bead_views([(lam, 1)], n), n)
-    return acc
 
 
 def remove_rim_hooks(lam: Partition, n: int) -> list[Partition]:

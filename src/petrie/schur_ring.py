@@ -19,11 +19,9 @@ from .errors import InternalInvariantFailure, PreconditionViolated
 from .partitions import (
     Partition,
     SkewShape,
-    _add_signed_hook_masks,
-    _add_signed_rim_hooks,
     _bead_masks,
-    _bead_views,
     _mask_partition,
+    _signed_hook_masks,
     _signed_rim_hooks,
     as_partition,
     contains,
@@ -173,16 +171,16 @@ def multiply_power_sum(f: SchurExpansion, n: int) -> SchurExpansion:
     signed by (-1)^height, and combine like terms.
 
     Hooks and signs come from the bead rule
-    (:func:`~petrie.partitions._add_signed_rim_hooks`): the height is the
-    number of beads strictly between b and b+n.  The keys of ``f`` were
-    validated when ``f`` was built, so neither they nor the product's keys
-    are validated again.
+    (:func:`~petrie.partitions._signed_rim_hooks`): the height is the number
+    of beads strictly between b and b+n.  Each term's beads are built for
+    this ``n`` alone, and the kernel's map is adopted as the product, its
+    cancelled zeros dropped there.  The keys of ``f`` were validated when
+    ``f`` was built, so neither they nor the product's keys are validated
+    again.
     """
     if n < 1:
         raise ValueError("power sum index must be >= 1")
-    acc: dict[Partition, int] = {}
-    _add_signed_rim_hooks(acc, _bead_views(f._terms.items(), n), n)
-    return SchurExpansion._from_canonical(f.degree + n, acc)
+    return SchurExpansion._from_canonical(f.degree + n, _signed_rim_hooks(f._terms.items(), n))
 
 
 def petrie_times_power_sum(k: int, m: int, n: int) -> SchurExpansion:
@@ -250,7 +248,7 @@ def verify_witness(
             raise InternalInvariantFailure(
                 f"{lam_plus}/{small} is not a rim hook of size {n}"
             )
-        signs.append(_signed_rim_hooks(shape.inner, n)[shape.outer])
+        signs.append(_signed_rim_hooks([(shape.inner, 1)], n)[shape.outer])
     sign_lam, sign_mu = signs
     if sign_lam * pet_lam != sign_mu * pet_mu:
         raise InternalInvariantFailure("witness contributions do not reinforce")
@@ -380,20 +378,20 @@ def _sweep_pair(
     km: tuple[int, int], n_max: int
 ) -> tuple[list[NonSmfEntry], list[tuple[int, int, int]]]:
     """The non-SMF entries and the disagreements for (k, m, n), n = 1..n_max,
-    from one expansion of G(k, m) and one set of its bead-mask views, reused
-    for every p_n.  Each product's accumulator is keyed by the bead mask of
-    ``lam_plus``, not by its parts, and each verdict is read straight from
-    it, cancelled zeros and all; no expansion is built for it.  The largest
-    offending mask is the first offending term in canonical order
-    (:func:`_smf_verdict`), and it is the only mask decoded."""
+    from one expansion of G(k, m) and one set of its bead-mask views, built
+    once for hooks up to ``n_max`` and reused for every p_n; these are the
+    only bead views shared across hook sizes.  Each product's map is keyed
+    by the bead mask of ``lam_plus``, not by its parts, and each verdict is
+    read straight from it, cancelled zeros and all; no expansion is built
+    for it.  The largest offending mask is the first offending term in
+    canonical order (:func:`_smf_verdict`), and it is the only mask
+    decoded."""
     k, m = km
     views, floor = _bead_masks(petrie_schur_expansion(k, m)._terms.items(), n_max)
     entries: list[NonSmfEntry] = []
     disagreements: list[tuple[int, int, int]] = []
     for n in range(1, n_max + 1):
-        acc: dict[int, int] = {}
-        _add_signed_hook_masks(acc, views, n)
-        verdict = _smf_verdict(acc)
+        verdict = _smf_verdict(_signed_hook_masks(views, n))
         predicted = classify_smf(k, m, n)
         if verdict.signed_multiplicity_free != predicted:
             disagreements.append((k, m, n))

@@ -78,7 +78,7 @@ def test_oracle_imports_nothing_from_the_fast_path():
 
 def test_schur_ring_indexes_no_bead_list():
     # the one rim-hook height rule, with both of its accumulator keys
-    # (_add_signed_rim_hooks by parts, _add_signed_hook_masks by bead mask),
+    # (_signed_rim_hooks by parts, _signed_hook_masks by bead mask),
     # lives in partitions; schur_ring only calls it
     assert "beads[" not in Path(schur_ring.__file__).read_text()
 

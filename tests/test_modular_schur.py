@@ -1,4 +1,8 @@
 import random
+import runpy
+from contextlib import redirect_stdout
+from io import StringIO
+from pathlib import Path
 
 from helpers import det_over_oracle
 
@@ -127,3 +131,13 @@ class TestTransitionMatrix:
         text = transition_matrix(3, 4).to_text()
         assert "index: [4] [2,2] [1,1,1,1] [3,1] [2,1,1]" in text
         assert text.count("|") > 0
+
+
+def test_power_sum_columns_satisfy_character_identities():
+    # columns of the character table of S_16 from both MN kernels: norms
+    # z_mu, the trivial and sign characters, sampled orthogonal pairs
+    script = Path(__file__).parents[1] / "scripts" / "character_identities.py"
+    out = StringIO()
+    with redirect_stdout(out):
+        code = runpy.run_path(str(script))["main"](["16"])
+    assert code == 0, out.getvalue()

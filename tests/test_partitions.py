@@ -29,11 +29,10 @@ from petrie import (
     rim_hook_height,
 )
 from petrie.partitions import (
-    _add_signed_rim_hooks,
     _bead_masks,
-    _bead_views,
     _dominates,
     _mask_partition,
+    _signed_hook_masks,
     _signed_rim_hooks,
 )
 
@@ -277,14 +276,15 @@ class TestAddRemove:
         for m in range(11):
             for lam in partitions_of(m):
                 for n in range(1, 7):
-                    signed = dict(_signed_rim_hooks(lam, n))
+                    signed = _signed_rim_hooks([(lam, 1)], n)
                     assert sorted(signed, reverse=True) == filter_add_rim_hooks(lam, n)
                     for lam_plus, sign in signed.items():
                         height = rim_hook_height(SkewShape(lam_plus, lam))
                         assert sign == (-1) ** height, (lam, n, lam_plus)
 
     def test_views_padded_past_n_match_cell_heights(self):
-        # a view built for hooks up to `reach` serves every smaller n
+        # a mask view built for hooks up to `reach` serves every smaller n,
+        # as the sweep shares it; decoded, its hooks and signs are the cells'
         for m in range(10):
             for lam in partitions_of(m):
                 for n in range(1, 9):
@@ -293,8 +293,11 @@ class TestAddRemove:
                         for big in filter_add_rim_hooks(lam, n)
                     }
                     for reach in range(n, 9):
-                        signed = {}
-                        _add_signed_rim_hooks(signed, _bead_views([(lam, 1)], reach), n)
+                        views, floor = _bead_masks([(lam, 1)], reach)
+                        signed = {
+                            _mask_partition(key, floor): sign
+                            for key, sign in _signed_hook_masks(views, n).items()
+                        }
                         assert signed == expected, (lam, n, reach)
 
 

@@ -28,11 +28,10 @@ from petrie import (
     witness_non_smf,
 )
 from petrie.partitions import (
-    _add_signed_hook_masks,
-    _add_signed_rim_hooks,
     _bead_masks,
-    _bead_views,
     _mask_partition,
+    _signed_hook_masks,
+    _signed_rim_hooks,
 )
 from petrie.schur_ring import verify_witness
 
@@ -190,38 +189,21 @@ class TestMultiplyPowerSum:
                     reference = reference_mn_product(f, n)
                     assert multiply_power_sum(f, n).items() == reference.items(), (lam, n)
 
-    def test_shared_views_match_one_product_per_n(self):
-        # views built once for n <= 8, as the sweep builds them, against
-        # views built for each n alone
-        for k in range(2, 8):
-            for m in range(15):
-                f = petrie_schur_expansion(k, m)
-                views = _bead_views(f.items(), 8)
-                for n in range(1, 9):
-                    acc = {}
-                    _add_signed_rim_hooks(acc, views, n)
-                    shared = {lam: coeff for lam, coeff in acc.items() if coeff}
-                    assert shared == dict(multiply_power_sum(f, n).items()), (k, m, n)
-
     def test_mask_keys_decode_to_the_tuple_accumulator(self):
-        # the sweep's accumulator, keyed by bead masks, against the tuple
-        # kernel's at the same shared reach: every key, cancelled zeros too
+        # the sweep's map, keyed by bead masks shared for n <= 8, against the
+        # tuple kernel's built for each n alone: every key, cancelled zeros too
         for k in range(2, 8):
             for m in range(15):
                 terms = petrie_schur_expansion(k, m).items()
-                views = _bead_views(terms, 8)
                 masks, floor = _bead_masks(terms, 8)
                 for n in range(1, 9):
-                    by_parts, by_mask = {}, {}
-                    _add_signed_rim_hooks(by_parts, views, n)
-                    _add_signed_hook_masks(by_mask, masks, n)
+                    by_mask = _signed_hook_masks(masks, n)
                     decoded = {_mask_partition(key, floor): c for key, c in by_mask.items()}
                     assert len(decoded) == len(by_mask), (k, m, n)
-                    assert decoded == by_parts, (k, m, n)
+                    assert decoded == _signed_rim_hooks(terms, n), (k, m, n)
         # G(3,3)*p_1: both hooks onto [2,1,1] cancel, and the zero stays
         masks, floor = _bead_masks(petrie_schur_expansion(3, 3).items(), 1)
-        by_mask = {}
-        _add_signed_hook_masks(by_mask, masks, 1)
+        by_mask = _signed_hook_masks(masks, 1)
         decoded = {_mask_partition(key, floor): c for key, c in by_mask.items()}
         assert decoded == {(3, 1): 1, (2, 2): 1, (2, 1, 1): 0, (1, 1, 1, 1): -1}
 
@@ -289,8 +271,7 @@ class TestSmfVerdict:
     def test_offending_is_first_large_term_in_canonical_order(self):
         # the sweep reads its verdicts from accumulators, which keep cancelled
         # terms: in G(3,3) * p_1 the two hooks onto [2,1,1] cancel
-        acc = {}
-        _add_signed_rim_hooks(acc, _bead_views(petrie_schur_expansion(3, 3).items(), 1), 1)
+        acc = _signed_rim_hooks(petrie_schur_expansion(3, 3).items(), 1)
         assert acc[(2, 1, 1)] == 0
         report = sweep_smf(6, 12, 8)
         entries = {(e.k, e.m, e.n): (e.offending, e.coeff) for e in report.non_smf}
