@@ -7,11 +7,11 @@ Every run calls ``petrie.cli.main`` in-process, so no run pays for a fresh
 interpreter.  Each digest covers, for every run in its group, the argument
 list, the exit code (or the name of an exception that escaped ``main``),
 stdout, stderr and the contents of the ``--out`` file.  The grid holds good
-and bad operands, every flag, the ``PETRIE_FORMAT`` default and faults
-injected into the library, so a refactor that keeps these lines keeps what a
-user sees.  ``tests/golden/cli_digests.txt`` holds the expected lines.
-argparse's usage and error messages are part of what is hashed, so the lines
-can differ between Python versions.
+and bad operands, every flag, the ``PETRIE_FORMAT`` default, faults injected
+into the library and command lines at the parser's edges, so a refactor that
+keeps these lines keeps what a user sees.  ``tests/golden/cli_digests.txt``
+holds the expected lines.  argparse's usage and error messages are part of
+what is hashed, so the lines can differ between Python versions.
 """
 
 from __future__ import annotations
@@ -72,6 +72,25 @@ GRID = {
     ],
     "verify-liu-polo": [["2", "6"], ["3", "3"], ["1", "4"], ["5", "4"]],
 }
+
+# Command lines at the edge of the parser, each run once as given.  Only
+# lines whose output is the same on Python 3.10 to 3.13 are kept: from 3.13
+# on, argparse wraps the usage line of the top-level parser differently.
+EDGES = [
+    ["multiply", "--help"],
+    ["multiply", "--json", "3", "5", "2"],
+    ["multiply", "3", "--verify", "5", "--json", "2"],
+    ["multiply", "3", "5", "2", "--json", "--json"],
+    ["multiply", "3", "5", "2", "--json", "--text"],
+    ["multiply", "3", "5", "2", "--js"],
+    ["multiply", "3", "5", "2", "--ver", "--json"],
+    ["sweep", "3", "4", "3", "--jobs=2", "--json"],
+    ["sweep", "3", "4", "3", "--jobs", "-1"],
+    ["pet", "3,3,1", "4", "--method", "all", "--json"],
+    ["multiply", "--", "3", "5", "2"],
+    ["multiply", "3", "5", "2", "--verify=1"],
+    ["multiply", "3", "-1", "2"],
+]
 
 
 def _raise_invariant(*args, **kwargs):
@@ -148,6 +167,7 @@ def main() -> None:
             run(["sweep", "3", "4", "3", "--out", OUT, f"--{fmt}"], tmp)
             for fmt in ("json", "text")
         ]
+        groups["parser edge cases"] = [run(argv, tmp) for argv in EDGES]
         for label, runs in groups.items():
             digest = hashlib.sha256(json.dumps(runs).encode()).hexdigest()
             print(f"{digest}  {label}")

@@ -11,8 +11,14 @@ renders the text, and an optional failure ``(message, exit code)`` reported
 after the output.  A handler refuses before any output by raising
 ``_Refusal``.  Only ``main`` picks the format, builds ``params`` from the
 verb's operands, writes the envelope or the text to stdout or ``--out`` and
-maps exceptions to exit codes.  When the first argument names a verb, ``main``
-builds that verb's parser alone; its usage line still lists every verb.
+maps exceptions to exit codes.  ``main`` reads a well-formed argv straight
+from ``_VERBS`` into the namespace argparse would build: a verb, exactly its
+operands, each read by ``int`` (a partition stays a string), and each of its
+flags at most once as ``--flag``, ``--flag=value`` or ``--flag value``, but
+not ``--json`` with ``--text``.  Anything else (help, ``--``, an abbreviated
+flag, a negative operand, an error) goes to argparse, imported only then, so
+usage, help and error text stay argparse's.  When the first argument names a
+verb, argparse builds that verb's parser alone; its usage lists every verb.
 
 JSON output is byte for byte ``json.dumps(envelope, indent=2)`` plus a
 newline, where a ``SchurExpansion`` in a ``result`` stands for its
@@ -39,14 +45,17 @@ the closed form.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
 from json.encoder import encode_basestring_ascii as _quote
 from itertools import chain, repeat
 from operator import itemgetter
-from typing import Any, Callable, Iterator, NamedTuple
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Any, Callable, Iterator, NamedTuple
+
+if TYPE_CHECKING:
+    import argparse
 
 from . import abacus, modular_schur, oracle, schur_ring
 from .errors import InternalInvariantFailure, PetrieError
@@ -381,6 +390,7 @@ def _method(text: str) -> str:
     """``pet --method``'s value.  A type check, not ``choices``, so the error
     reads the same on every Python: 3.13 stopped quoting the choices."""
     if text not in _METHODS:
+        import argparse
         choices = ", ".join(map(repr, _METHODS))
         raise argparse.ArgumentTypeError(f"invalid choice: {text!r} (choose from {choices})")
     return text
@@ -432,17 +442,20 @@ _VERBS = (
         (), (),
     ),
 )
-_VERB_NAMES = [verb[0] for verb in _VERBS]
+_VERB_TABLE = {verb[0]: verb for verb in _VERBS}
+_FORMATS = (("--json", {"action": "store_true", "help": "machine-readable output"}),
+            ("--text", {"action": "store_true", "help": "plain text output"}))
 
 
 def build_parser(verb: str | None = None) -> argparse.ArgumentParser:
     """The parser of every verb, or of ``verb`` alone.  One verb's parser
     lists every verb in its usage line, so its errors read the same."""
+    import argparse
     parser = argparse.ArgumentParser(
         prog="petrie",
         description="Exact Schur expansions of Petrie symmetric functions",
     )
-    options = {"metavar": "{" + ",".join(_VERB_NAMES) + "}"} if verb else {}
+    options = {"metavar": "{" + ",".join(_VERB_TABLE) + "}"} if verb else {}
     sub = parser.add_subparsers(dest="command", required=True, **options)
     for name, handler, help_text, operands, flags, params in _VERBS:
         if verb in (None, name):
@@ -453,16 +466,62 @@ def build_parser(verb: str | None = None) -> argparse.ArgumentParser:
             for flag, flag_options in flags:
                 p.add_argument(flag, **flag_options)
             group = p.add_mutually_exclusive_group()
-            group.add_argument("--json", action="store_true", help="machine-readable output")
-            group.add_argument("--text", action="store_true", help="plain text output")
+            for flag, flag_options in _FORMATS:
+                group.add_argument(flag, **flag_options)
             p.set_defaults(func=handler, params=operands + params)
     return parser
 
 
+def _read_argv(argv: list[str]) -> SimpleNamespace | None:
+    """What ``build_parser().parse_args(argv)`` returns, if ``argv`` is well
+    formed (see the module docstring), else ``None``."""
+    verb = _VERB_TABLE.get(argv[0]) if argv else None
+    if verb is None:
+        return None
+    name, handler, _, operands, flags, params = verb
+    specs = dict(flags + _FORMATS)
+    given: dict[str, Any] = {}
+    words: list[str] = []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            words.append(token)
+            continue
+        flag, eq, value = token.partition("=")
+        spec = specs.get(flag, {})
+        switch = spec.get("action") == "store_true"
+        if not spec or flag in given or (switch and eq):
+            return None
+        if switch:
+            given[flag] = True
+            continue
+        if not eq:
+            value = next(tokens, "-")  # a missing value reads as a flag
+            if value.startswith("-"):
+                return None
+        try:
+            given[flag] = spec.get("type", str)(value)
+        except Exception:  # argparse converts the value again and reports what is wrong
+            return None
+    if len(words) != len(operands) or all(flag in given for flag, _ in _FORMATS):
+        return None
+    try:
+        values = {op: word if op == "partition" else int(word)
+                  for op, word in zip(operands, words)}
+    except ValueError:
+        return None
+    for flag, spec in specs.items():
+        default = False if spec.get("action") == "store_true" else spec.get("default")
+        values[flag[2:].replace("-", "_")] = given.get(flag, default)
+    return SimpleNamespace(command=name, **values, func=handler, params=operands + params)
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    verb = argv[0] if argv and argv[0] in _VERB_NAMES else None
-    args = build_parser(verb).parse_args(argv)
+    args = _read_argv(argv)  # else argparse, with that verb's parser alone
+    if args is None:
+        verb = argv[0] if argv and argv[0] in _VERB_TABLE else None
+        args = build_parser(verb).parse_args(argv)
     try:
         if "partition" in args.params:
             args.partition = parse_partition(args.partition)

@@ -8,8 +8,8 @@ longer resolves makes ``bench/run.py --trace 1`` drop its metrics silently,
 a path that imports the one checking it would be checked against itself,
 a second copy of the bead rule is one the rim-hook tests do not check,
 an unused import or export is a leftover of deleted code (or code only the
-tests need), and a module loaded at import time is paid for by every
-command.
+tests need), and a module loaded at import time or by a well-formed command
+line is paid for by every command.
 """
 
 from __future__ import annotations
@@ -153,3 +153,28 @@ def test_importing_the_cli_does_not_load_the_process_pool():
     lines = out.stdout.splitlines()
     assert lines[0] == lines[-1] == str([False] * len(names))
     assert "0 disagreements" in out.stdout
+
+
+def test_a_well_formed_command_line_loads_no_argparse():
+    # The verb table reads these; argparse, and the gettext and locale its
+    # messages load, are imported only for help and errors.
+    names = ("argparse", "gettext", "locale")
+    code = (
+        "import sys, petrie.cli; main = petrie.cli.main; "
+        "main(['multiply', '3', '5', '2', '--json']); "
+        "main(['sweep', '3', '4', '3', '--jobs', '2']); "
+        "main(['pet', '3,3,1', '4', '--method=all']); "
+        f"print([name in sys.modules for name in {names!r}])"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.splitlines()[-1] == str([False] * len(names))
+    assert "0 disagreements" in out.stdout
+    helped = subprocess.run(
+        [sys.executable, "-m", "petrie", "multiply", "--help"],
+        env=env, capture_output=True, text=True,
+    )
+    assert helped.returncode == 0
+    assert helped.stdout.startswith("usage: petrie multiply [-h] [--verify] [--json | --text]")

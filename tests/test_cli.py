@@ -7,13 +7,14 @@ import subprocess
 import sys
 import tracemalloc
 from collections import OrderedDict
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
+from itertools import chain
 from pathlib import Path
 from typing import NamedTuple
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import expansion_from_json, run_cli
@@ -598,6 +599,80 @@ class TestFormatSelection:
         monkeypatch.delenv("PETRIE_FORMAT", raising=False)
         _, out, _ = run_cli(["expand", "2", "3"])
         assert out == "s[1,1,1]\n"
+
+
+# Operand tokens int() reads (or not) in ways a hand-written check might miss.
+_OPERAND_TOKENS = ["7", "-1", "+3", " 4", "1_0", "x", "", "3,3,1"]
+# Forms only argparse reads: abbreviations, a switch given a value, a
+# rejected method, a negative value, both formats, help and "--".
+_ARGPARSE_FORMS = [
+    ["--js"], ["--ver"], ["--verify=1"], ["--method=bogus"], ["--jobs", "-1"],
+    ["--json", "--text"], ["-h"], ["--"],
+]
+
+
+def _flag_forms(flags):
+    """Each flag as ``--f``, ``--f=v`` and ``--f v`` for a few values."""
+    values = ["2", "-1", "all", "bogus", "x", ""]
+    return [[flag] for flag in flags] + [
+        form for flag in flags for value in values for form in ([f"{flag}={value}"], [flag, value])
+    ]
+
+
+_ALL_FLAGS = sorted({flag for verb in cli_mod._VERBS for flag, _ in verb[4] + cli_mod._FORMATS})
+
+
+@st.composite
+def _argvs(draw):
+    """A verb, one operand too few, too many or just enough, and up to three
+    flag forms (repeats included), the verb's own ones most often, shuffled."""
+    verb = draw(st.sampled_from(cli_mod._VERBS))
+    count = len(verb[3]) + draw(st.sampled_from([-1, 0, 0, 1]))
+    operand = st.one_of(st.integers(0, 12).map(str), st.sampled_from(_OPERAND_TOKENS))
+    own = _flag_forms([flag for flag, _ in verb[4] + cli_mod._FORMATS])
+    form = st.one_of(
+        st.sampled_from(own), st.sampled_from(_flag_forms(_ALL_FLAGS) + _ARGPARSE_FORMS)
+    )
+    chunks = [[word] for word in draw(st.lists(operand, min_size=count, max_size=count))]
+    chunks += draw(st.lists(form, max_size=3))
+    return [verb[0], *chain.from_iterable(draw(st.permutations(chunks)))]
+
+
+def _argparse_vars(argv):
+    """``vars(build_parser().parse_args(argv))``, or ``None`` where argparse exits."""
+    with redirect_stdout(StringIO()), redirect_stderr(StringIO()):
+        try:
+            return vars(cli_mod.build_parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+class TestVerbTable:
+    """``main`` reads a well-formed argv from the verb table and leaves the
+    rest to argparse; whatever the table reads, argparse reads the same."""
+
+    @settings(derandomize=True, max_examples=800, deadline=None)
+    @given(_argvs())
+    @example(["multiply", "3", "5", "2", "--json", "--text"])
+    @example(["pet", "3,3,1", "4", "--method=bogus"])
+    @example(["pet", "3,3,1", "4", "--method", "bogus"])
+    @example(["multiply", "3", "5"])
+    @example(["multiply", "3", "5", "2", "--verify=1"])
+    @example(["sweep", "3", "5", "2", "--jobs"])
+    def test_agrees_with_argparse(self, argv):
+        table = cli_mod._read_argv(argv)
+        assert table is None or vars(table) == _argparse_vars(argv)
+
+    @pytest.mark.parametrize("argv", [
+        ["multiply", "7", "43", "11", "--json"],
+        ["multiply", "5", "6", "5", "--verify", "--json"],
+        ["sweep", "8", "20", "10", "--jobs", "2", "--json"],
+        ["transition", "4", "9", "--json"],
+    ], ids=["multiply", "multiply-verify", "sweep", "transition"])
+    def test_reads_every_benchmark_op_shape(self, argv):
+        table = cli_mod._read_argv(argv)
+        assert table is not None
+        assert vars(table) == _argparse_vars(argv)
 
 
 class TestSubprocess:
