@@ -17,18 +17,17 @@ operands, each read by ``int`` (a partition stays a string), and each of its
 flags at most once as ``--flag``, ``--flag=value`` or ``--flag value``, but
 not ``--json`` with ``--text``.  Anything else (help, ``--``, an abbreviated
 flag, a negative operand, an error) goes to argparse, imported only then, so
-usage, help and error text stay argparse's.  When the first argument names a
-verb, argparse builds that verb's parser alone; its usage lists every verb.
+usage, help and error text stay argparse's.  argparse then builds the parser
+of every verb.
 
 JSON output is byte for byte ``json.dumps(envelope, indent=2)`` plus a
 newline, where a ``SchurExpansion`` in a ``result`` stands for its
-``to_json_dict()["terms"]``.  Before Python 3.13 ``indent`` turns off the C
-encoder, so ``main`` renders with ``_render_json``, which writes an expansion
-from its own terms, one f-string per term whose parts are joined from a table
-of decimal strings; from 3.13 on it calls ``json.dumps`` with
-``default=_json_default``.  The renderer appends chunks to one list and joins
-it once.  A list of exact ints, of non-empty lists or tuples of exact ints,
-or of records is rendered a column at a time: ints by ``int.__repr__``, int
+``to_json_dict()["terms"]``.  On every Python ``main`` renders it with
+``_render_json``, which writes a non-empty expansion of positive degree from
+its own terms, one f-string per term whose parts are joined from a table of
+decimal strings.  The renderer appends chunks to one list and joins it
+once.  A list of exact ints, of non-empty lists or tuples of exact ints, or
+of records is rendered a column at a time: ints by ``int.__repr__``, int
 lists by one ``%d`` format per length.
 Records are dicts with one shared order of ``str`` keys, each field of which,
 taken across the records, is again such a list.  Only exact types qualify,
@@ -91,8 +90,8 @@ class _Outcome(NamedTuple):
 
 
 def _render_json(value: Any) -> str:
-    """Exactly ``json.dumps(value, indent=2, default=_json_default)``, from
-    chunks joined once."""
+    """Exactly ``json.dumps(value, indent=2)``, with each ``SchurExpansion``
+    standing for its ``to_json_dict()["terms"]``, from chunks joined once."""
     chunks: list[str] = []
     _emit(value, "\n", chunks)
     return "".join(chunks)
@@ -119,10 +118,13 @@ def _emit(value: Any, pad: str, chunks: list[str]) -> None:
                 chunks.append(sep)
                 _emit(item, inner, chunks)
         chunks.append(pad + "]")
-    elif kind is schur_ring.SchurExpansion and value.degree and value:
-        _emit_terms(value, pad, chunks)
+    elif kind is schur_ring.SchurExpansion:
+        if value.degree and value:
+            _emit_terms(value, pad, chunks)
+        else:
+            _emit(value.to_json_dict()["terms"], pad, chunks)
     else:  # JSON text holds no raw newline inside a string, so re-padding is safe
-        chunks.append(json.dumps(value, indent=2, default=_json_default).replace("\n", pad))
+        chunks.append(json.dumps(value, indent=2).replace("\n", pad))
 
 
 def _emit_terms(expansion: schur_ring.SchurExpansion, pad: str, chunks: list[str]) -> None:
@@ -140,13 +142,6 @@ def _emit_terms(expansion: schur_ring.SchurExpansion, pad: str, chunks: list[str
     rows[0] = "[" + rows[0][1:]  # the first row opens the list where the others have ","
     chunks += rows
     chunks.append(pad + "]")
-
-
-def _json_default(value: Any) -> Any:
-    """``json.dumps``'s ``default``: an expansion becomes its JSON terms."""
-    if type(value) is schur_ring.SchurExpansion:
-        return value.to_json_dict()["terms"]
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _seps(opener: str, pad: str) -> Iterator[str]:
@@ -179,11 +174,6 @@ def _rows(items: list | tuple, pad: str) -> Iterator[str] | None:
             return None
         parts += [repeat(sep + _quote(field) + ": "), column]
     return map("".join, zip(*parts, repeat(pad + "}")))
-
-
-# Python 3.13's C encoder handles ``indent`` itself and beats ``_render_json``;
-# this choice can go once requires-python reaches 3.13.
-_RENDER_BY_HAND = sys.version_info < (3, 13)
 
 
 def _fail(message: str, code: int) -> int:
@@ -447,28 +437,26 @@ _FORMATS = (("--json", {"action": "store_true", "help": "machine-readable output
             ("--text", {"action": "store_true", "help": "plain text output"}))
 
 
-def build_parser(verb: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every verb, or of ``verb`` alone.  One verb's parser
-    lists every verb in its usage line, so its errors read the same."""
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every verb.  ``main`` builds it only for help and
+    errors; ``_read_argv`` reads every well-formed argv without it."""
     import argparse
     parser = argparse.ArgumentParser(
         prog="petrie",
         description="Exact Schur expansions of Petrie symmetric functions",
     )
-    options = {"metavar": "{" + ",".join(_VERB_TABLE) + "}"} if verb else {}
-    sub = parser.add_subparsers(dest="command", required=True, **options)
+    sub = parser.add_subparsers(dest="command", required=True)
     for name, handler, help_text, operands, flags, params in _VERBS:
-        if verb in (None, name):
-            # The envelope's params are the operands, then ``params``.
-            p = sub.add_parser(name, help=help_text)
-            for operand in operands:
-                p.add_argument(operand, type=str if operand == "partition" else int)
-            for flag, flag_options in flags:
-                p.add_argument(flag, **flag_options)
-            group = p.add_mutually_exclusive_group()
-            for flag, flag_options in _FORMATS:
-                group.add_argument(flag, **flag_options)
-            p.set_defaults(func=handler, params=operands + params)
+        # The envelope's params are the operands, then ``params``.
+        p = sub.add_parser(name, help=help_text)
+        for operand in operands:
+            p.add_argument(operand, type=str if operand == "partition" else int)
+        for flag, flag_options in flags:
+            p.add_argument(flag, **flag_options)
+        group = p.add_mutually_exclusive_group()
+        for flag, flag_options in _FORMATS:
+            group.add_argument(flag, **flag_options)
+        p.set_defaults(func=handler, params=operands + params)
     return parser
 
 
@@ -518,10 +506,8 @@ def _read_argv(argv: list[str]) -> SimpleNamespace | None:
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = _read_argv(argv)  # else argparse, with that verb's parser alone
-    if args is None:
-        verb = argv[0] if argv and argv[0] in _VERB_TABLE else None
-        args = build_parser(verb).parse_args(argv)
+    # The verb table reads a well-formed argv; argparse reads the rest.
+    args = _read_argv(argv) or build_parser().parse_args(argv)
     try:
         if "partition" in args.params:
             args.partition = parse_partition(args.partition)
@@ -533,10 +519,7 @@ def main(argv: list[str] | None = None) -> int:
                 "result": outcome.result,
                 "format_version": FORMAT_VERSION,
             }
-            if _RENDER_BY_HAND:
-                rendered = _render_json(envelope)
-            else:
-                rendered = json.dumps(envelope, indent=2, default=_json_default)
+            rendered = _render_json(envelope)
         else:
             rendered = outcome.text()
     except _Refusal as exc:

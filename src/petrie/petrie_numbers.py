@@ -158,6 +158,13 @@ def pet_generalized(lam: Partition, mu: Partition, k: int) -> int:
     the columns j with lam_i - i - k < mu_j - j <= lam_i - i, one run whose
     ends never move left down the rows: an interval matrix, handed to
     :func:`_interval_det` as its spans.  Two pointers walk the run's ends.
+
+    The value is ``[s_lam] G(k, |lam| - |mu|) * s_mu``, so every coefficient
+    of ``G(k, m) * s_mu`` is in {-1, 0, 1}.  Pairing with ``prod_i (1 + x_i
+    + ... + x_i^(k-1))`` sends ``h_r`` to ``chi(0 <= r < k)`` multiplicatively,
+    so Jacobi-Trudi for ``s_(lam/mu)`` gives this determinant.  Its matrix
+    has consecutive ones in each row, an interval matrix, and interval
+    matrices are totally unimodular.
     """
     lam, mu = as_partition(lam), as_partition(mu)
     if k < 1:

@@ -473,8 +473,9 @@ def sweep_smf(k_max: int, m_max: int, n_max: int, jobs: int = 1) -> SweepReport:
     triple also gets a constructed-and-verified witness.  G(k, m) and the
     bead views of its terms are built once per (k, m), padded for hooks of
     size n_max, and reused for every p_n.  With jobs > 1 the (k, m) pairs
-    are split, strided, over min(jobs, pairs) forked children
-    (:func:`_forked_map`); the report is identical to the sequential one.
+    are split, strided, over min(jobs, pairs, CPUs) forked children
+    (:func:`_forked_map`), or run here when that is 1; the report is
+    identical to the sequential one.
     The children are forked copies of the caller, so a caller that runs
     other threads should sweep with jobs = 1.  Platforms without ``os.fork``
     refuse jobs > 1.
@@ -485,8 +486,9 @@ def sweep_smf(k_max: int, m_max: int, n_max: int, jobs: int = 1) -> SweepReport:
         raise PreconditionViolated("jobs > 1 needs os.fork, which this platform lacks")
     pairs = [(k, m) for k in range(1, k_max + 1) for m in range(0, m_max + 1)]
     task = partial(_sweep_pair, n_max=n_max)
-    if jobs > 1:
-        per_pair = _forked_map(task, pairs, min(jobs, len(pairs)))
+    workers = min(jobs, len(pairs), os.cpu_count() or 1)
+    if workers > 1:
+        per_pair = _forked_map(task, pairs, workers)
     else:
         per_pair = [task(km) for km in pairs]
     non_smf = tuple(entry for entries, _ in per_pair for entry in entries)

@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 from helpers import expansion_from_json, run_cli
 from petrie import (
     InternalInvariantFailure,
-    MonomialVector,
     SchurExpansion,
     petrie_schur_expansion,
     petrie_times_power_sum,
@@ -146,15 +145,14 @@ def test_cli_digests_match_golden():
 
 
 def test_expand_and_multiply_build_no_json_records(monkeypatch):
-    """``result`` holds the expansion itself, so with the hand renderer
-    neither ``--text`` nor ``--json`` calls ``to_json_dict``; the digests pin
-    the JSON bytes, which equal those of the records envelope."""
+    """``result`` holds the expansion itself, so neither ``--text`` nor
+    ``--json`` calls ``to_json_dict``; the digests pin the JSON bytes, which
+    equal those of the records envelope."""
 
     def refuse(self):
         raise AssertionError("to_json_dict called")
 
     monkeypatch.setattr(SchurExpansion, "to_json_dict", refuse)
-    monkeypatch.setattr(cli_mod, "_RENDER_BY_HAND", True)
     code, out, err = run_cli(["multiply", "5", "8", "3", "--text"])
     assert (code, out, err) == (0, (GOLDEN / "multiply_5_8_3.txt").read_text(), "")
     for flags, digest in [
@@ -301,8 +299,8 @@ _JSON_VALUES = st.recursive(
 
 
 class TestRenderJson:
-    """``_render_json`` is called directly, so these run whichever path
-    ``main`` takes on this Python."""
+    """``_render_json`` renders every JSON envelope ``main`` writes; these
+    call it directly."""
 
     @settings(derandomize=True, max_examples=200, deadline=None)
     @given(_JSON_VALUES)
@@ -360,9 +358,9 @@ class TestRenderJson:
         assert cli_mod._render_json(value) == json.dumps(value, indent=2)
 
     def test_expansion_renders_as_its_json_records(self):
-        """An expansion renders as its ``to_json_dict()["terms"]``, by hand
-        and through the ``default=`` hook that ``main`` passes from Python
-        3.13 on; both keep the schema written in ``to_json_dict``."""
+        """An expansion renders as its ``to_json_dict()["terms"]``: a
+        non-empty one of positive degree from its own terms, the others
+        through those records; both keep the schema of ``to_json_dict``."""
         expansions = [
             petrie_times_power_sum(k, m, n)
             for k in range(2, 6) for m in range(9) for n in range(1, 5)
@@ -383,10 +381,6 @@ class TestRenderJson:
                 value = nest({"degree": f.degree, "terms": f})
                 expected = json.dumps(nest(f.to_json_dict()), indent=2)
                 assert cli_mod._render_json(value) == expected
-                assert json.dumps(value, indent=2, default=cli_mod._json_default) == expected
-        for other in [MonomialVector(1, {(1,): 1}), {1, 2}, object()]:
-            with pytest.raises(TypeError):
-                cli_mod._json_default(other)
 
     def test_rendering_memory_is_bounded(self):
         """The fastpath anchor envelope renders with a peak of at most 2.5

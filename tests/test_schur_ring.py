@@ -402,10 +402,14 @@ class TestSweep:
         assert report.triples == 2  # m in {0, 1}
         assert report.disagreements == ()
 
-    def test_parallel_equals_sequential(self):
+    def test_parallel_equals_sequential(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
         assert sweep_smf(4, 6, 4, jobs=2) == sweep_smf(4, 6, 4)
 
-    def test_pool_never_outnumbers_the_pairs(self, monkeypatch):
+    @staticmethod
+    def _count_forks(monkeypatch, cpus):
+        """Pretend the machine has ``cpus`` CPUs; the list gains one entry
+        per ``os.fork``."""
         forks = []
         fork = os.fork
 
@@ -413,9 +417,22 @@ class TestSweep:
             forks.append(None)
             return fork()
 
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         monkeypatch.setattr(os, "fork", counted)
+        return forks
+
+    def test_pool_never_outnumbers_the_pairs(self, monkeypatch):
+        forks = self._count_forks(monkeypatch, 64)
         assert sweep_smf(1, 1, 1, jobs=64) == sweep_smf(1, 1, 1)
         assert len(forks) == 2
+
+    def test_pool_never_outnumbers_the_cpus(self, monkeypatch):
+        forks = self._count_forks(monkeypatch, 3)
+        assert sweep_smf(2, 5, 1, jobs=64) == sweep_smf(2, 5, 1, jobs=1)
+        assert len(forks) == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown: one CPU, no fork
+        assert sweep_smf(2, 5, 1, jobs=64) == sweep_smf(2, 5, 1, jobs=1)
+        assert len(forks) == 3
 
     def test_worker_exception_reaches_the_caller(self, monkeypatch):
         import petrie.schur_ring as sr
@@ -428,6 +445,7 @@ class TestSweep:
             return build(k, m)
 
         monkeypatch.setattr(sr, "petrie_schur_expansion", failing)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
         with pytest.raises(InternalInvariantFailure, match="injected"):
             sweep_smf(3, 4, 2, jobs=2)
         with pytest.raises(ChildProcessError):  # every worker was reaped
@@ -437,6 +455,7 @@ class TestSweep:
         import petrie.schur_ring as sr
 
         monkeypatch.setattr(sr, "petrie_schur_expansion", lambda k, m: os._exit(3))
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)  # else a lone CPU runs it here
         with pytest.raises(ChildProcessError, match="status 3"):
             sweep_smf(2, 3, 2, jobs=3)
         with pytest.raises(ChildProcessError):
