@@ -34,8 +34,8 @@ from .oracle import (
     kostka_number,
     monomial_to_schur,
     petrie_monomial_vector,
+    pieri_times_power_sum,
     poly_multiply_extract,
-    power_sum_monomial_vector,
     schur_monomial_vector,
 )
 from .partitions import (

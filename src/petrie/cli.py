@@ -218,10 +218,10 @@ def _cmd_expand(args: argparse.Namespace) -> _Outcome:
         expansion = schur_ring.multiply_power_sum(expansion, n)
     result: dict[str, Any] = {"degree": expansion.degree, "terms": expansion}
     if args.verify:
-        check = oracle.petrie_monomial_vector(k, m)
+        check = oracle.monomial_to_schur(oracle.petrie_monomial_vector(k, m))
         if n is not None:
-            check = oracle.poly_multiply_extract(oracle.power_sum_monomial_vector(n), check)
-        if oracle.monomial_to_schur(check) != expansion:
+            check = oracle.pieri_times_power_sum(check, n)
+        if check != expansion:
             operands = " ".join(str(getattr(args, name)) for name in args.params)
             raise _Refusal(
                 f"oracle disagrees with fast path for {args.command} {operands}",

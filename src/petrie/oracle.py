@@ -12,9 +12,20 @@ against Kostka numbers, which come from one route: the recursion of
 strip.  The inner shapes a strip can leave are enumerated once per
 ``(shape, size)`` and kept as an immutable tuple shared by every content.
 ``MonomialVector`` shares its base with ``SchurExpansion``; vectors
-built here skip its key validation.  None of the algorithms here touch the
-determinant, gamma, or rim-hook evaluators they are used to check: the
-oracle shares no algorithm with the fast path, and that is the point.
+built here skip its key validation.
+
+A product by the power sum p_n is checked in the Schur basis without a
+rim hook: Newton's identity p_n = sum_{a=1..n} a (-1)^(n-a) h_a e_(n-a),
+read off P(t) = H'(t) E(-t), turns it into Pieri strips.  Multiplying by
+h_a adds every horizontal strip of size a, and multiplying by e_b every
+vertical strip of size b, which is a horizontal strip added to the
+conjugate.  So ``G(k, m) * p_n`` is checked by converting only ``G(k, m)``,
+at degree m, and costs no conversion at degree m + n.  The strips use the
+diagram's rows and ``conjugate`` alone: no bead, rim-hook height or sign
+rule of the Murnaghan-Nakayama product they check.  None of the
+algorithms here touch the determinant, gamma, or rim-hook evaluators they
+are used to check: the oracle shares no algorithm with the fast path, and
+that is the point.
 """
 
 from __future__ import annotations
@@ -24,7 +35,7 @@ from itertools import groupby
 from math import factorial, prod
 from typing import Iterator
 
-from .partitions import Partition, _dominates, as_partition, partitions_of
+from .partitions import Partition, _dominates, as_partition, conjugate, partitions_of
 from .schur_ring import SchurExpansion, _HomogeneousVector
 
 
@@ -193,3 +204,55 @@ def poly_multiply_extract(f: MonomialVector, g: MonomialVector) -> MonomialVecto
         for mu in (partitions_of(degree) if f._terms else ())
     }
     return MonomialVector._from_canonical(degree, coeffs)
+
+
+def _outer_shapes_after_strip(shape: Partition, size: int) -> list[Partition]:
+    """All nu containing ``shape`` with nu/shape a horizontal strip of ``size``.
+
+    Row i of nu lies between shape[i] and shape[i-1], and the new last row
+    between 0 and shape[-1]; only the first row is unbounded.  The rows are
+    fixed from the bottom up, and the first row takes the cells left over,
+    so every branch yields one shape.
+    """
+    out: list[Partition] = []
+
+    def rec(i: int, remaining: int, suffix: Partition) -> None:
+        if i == 0:
+            top = (shape[0] if shape else 0) + remaining
+            out.append((top,) + suffix if top else suffix)
+            return
+        low = shape[i] if i < len(shape) else 0
+        for part in range(low, min(shape[i - 1], low + remaining) + 1):
+            # Only the new row can stay at 0, and a zero part is dropped.
+            rec(i - 1, remaining - part + low, (part,) + suffix if part else suffix)
+
+    rec(len(shape), size, ())
+    return out
+
+
+def pieri_times_power_sum(f: SchurExpansion, n: int) -> SchurExpansion:
+    """The Schur expansion of ``f * p_n`` by Pieri strips.
+
+    By Newton's identity p_n = sum_{a=1..n} a (-1)^(n-a) h_a e_(n-a), each
+    term s_lam of ``f`` gains a vertical strip of size n - a (a horizontal
+    strip on the conjugate) and then a horizontal strip of size a, with
+    weight a (-1)^(n-a).  The two strip products commute; the vertical one
+    comes first so that each partition is conjugated back only once, before
+    its horizontal strips, and the output keys come straight from them.
+    Zero coefficients are dropped.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    transposed = [(conjugate(lam), c) for lam, c in f._terms.items()]
+    out: dict[Partition, int] = {}
+    for a in range(1, n + 1):
+        tall: dict[Partition, int] = {}
+        for lam_t, c in transposed:
+            for nu_t in _outer_shapes_after_strip(lam_t, n - a):
+                tall[nu_t] = tall.get(nu_t, 0) + c
+        weight = a if (n - a) % 2 == 0 else -a
+        for nu_t, c in tall.items():
+            if c:
+                for rho in _outer_shapes_after_strip(conjugate(nu_t), a):
+                    out[rho] = out.get(rho, 0) + weight * c
+    return SchurExpansion._from_canonical(f.degree + n, out)

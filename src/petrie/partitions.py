@@ -143,10 +143,12 @@ def is_rim_hook(shape: SkewShape) -> bool:
 
 
 def rim_hook_height(shape: SkewShape) -> int:
-    """Number of occupied rows minus one."""
+    """Number of occupied rows minus one.  Row r is occupied when
+    outer[r] > inner[r]; every row past the inner partition's last is."""
     if not is_rim_hook(shape):
         raise NotARimHook(f"{shape.outer}/{shape.inner} is not a rim hook")
-    return len({r for r, _ in shape.cells()}) - 1
+    outer, inner = shape
+    return len(outer) - len(inner) + sum(map(lt, inner, outer)) - 1
 
 
 def beta_set(lam: Partition, n_beads: int) -> tuple[int, ...]:

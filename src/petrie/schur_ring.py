@@ -15,7 +15,7 @@ import os
 from functools import partial
 from typing import Mapping, NamedTuple
 
-from .errors import InternalInvariantFailure, PreconditionViolated
+from .errors import InternalInvariantFailure, NotARimHook, PreconditionViolated
 from .partitions import (
     Partition,
     SkewShape,
@@ -26,7 +26,7 @@ from .partitions import (
     as_partition,
     contains,
     format_partition,
-    is_rim_hook,
+    rim_hook_height,
 )
 from .petrie_numbers import grinberg_support, pet_det
 
@@ -232,7 +232,11 @@ def verify_witness(
     lam_plus by a rim hook of size n, and their two signed contributions to
     s_(lam_plus) must be equal, so that they reinforce each other.  The other
     n-hooks removable from lam_plus are not summed, so this does not prove
-    that the coefficient of s_(lam_plus) has absolute value >= 2.
+    that the coefficient of s_(lam_plus) has absolute value >= 2.  Each
+    hook's sign (-1)^height comes from the cell model of
+    :func:`~petrie.partitions.rim_hook_height`, the checked definition of
+    the height rule, and not from either Murnaghan-Nakayama kernel, whose
+    products the witnesses are checked against.
     """
     if lam == mu:
         raise InternalInvariantFailure("witness partitions coincide")
@@ -244,11 +248,15 @@ def verify_witness(
         if not contains(small, lam_plus):
             raise InternalInvariantFailure(f"{small} not contained in {lam_plus}")
         shape = SkewShape(lam_plus, small)
-        if shape.size != n or not is_rim_hook(shape):
+        try:
+            if shape.size != n:
+                raise NotARimHook
+            height = rim_hook_height(shape)
+        except NotARimHook:
             raise InternalInvariantFailure(
                 f"{lam_plus}/{small} is not a rim hook of size {n}"
-            )
-        signs.append(_signed_rim_hooks([(shape.inner, 1)], n)[shape.outer])
+            ) from None
+        signs.append((-1) ** height)
     sign_lam, sign_mu = signs
     if sign_lam * pet_lam != sign_mu * pet_mu:
         raise InternalInvariantFailure("witness contributions do not reinforce")

@@ -23,11 +23,11 @@ from petrie import (
     petrie_schur_expansion,
     petrie_times_power_sum,
     poly_multiply_extract,
-    power_sum_monomial_vector,
     remove_rim_hooks,
     rim_hook_height,
     transition_matrix,
 )
+from petrie.oracle import power_sum_monomial_vector
 
 GOLDEN = Path(__file__).parent / "golden"
 

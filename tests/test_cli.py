@@ -525,6 +525,16 @@ class TestExitCodes:
         assert code == 3
         assert "disagrees" in err
 
+    def test_strip_product_mismatch_exits_3(self, monkeypatch):
+        monkeypatch.setattr(
+            cli_mod.oracle,
+            "pieri_times_power_sum",
+            lambda f, n: SchurExpansion(f.degree + n, {}),
+        )
+        code, out, err = run_cli(["multiply", "3", "5", "3", "--verify"])
+        assert code == 3 and not out
+        assert "oracle disagrees with fast path for multiply 3 5 3" in err
+
     def test_internal_invariant_failure_exits_3(self, monkeypatch):
         import petrie.schur_ring as sr
 

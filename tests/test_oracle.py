@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import count_ssyt, dominates, literal_product, power_sum_product_reference
 from petrie import (
@@ -10,11 +12,15 @@ from petrie import (
     petrie_monomial_vector,
     petrie_schur_expansion,
     petrie_times_power_sum,
+    pieri_times_power_sum,
     poly_multiply_extract,
-    power_sum_monomial_vector,
     schur_monomial_vector,
 )
-from petrie.oracle import _inner_shapes_after_strip
+from petrie.oracle import (
+    _inner_shapes_after_strip,
+    _outer_shapes_after_strip,
+    power_sum_monomial_vector,
+)
 
 
 class TestMonomialVector:
@@ -257,3 +263,74 @@ class TestOracleEquivalence:
                 for n in range(1, 4):
                     product = poly_multiply_extract(power_sum_monomial_vector(n), vec)
                     assert monomial_to_schur(product) == petrie_times_power_sum(k, m, n)
+
+
+class TestPieriStrips:
+    """The strip product p_n * f of Newton's identity against the monomial
+    route, which converts the whole degree-(m+n) product."""
+
+    def test_outer_strips_invert_inner_strips(self):
+        # nu/shape is a horizontal strip of size s from either side
+        for degree in range(8):
+            for shape in partitions_of(degree):
+                for size in range(5):
+                    outer = _outer_shapes_after_strip(shape, size)
+                    assert len(set(outer)) == len(outer)
+                    expected = [
+                        nu for nu in partitions_of(degree + size)
+                        if shape in _inner_shapes_after_strip(nu, size)
+                    ]
+                    assert sorted(outer) == sorted(expected), (shape, size)
+
+    @pytest.mark.parametrize("degree", range(8))
+    def test_every_schur_function(self, degree):
+        # degree 0 is s_() = 1, so the product is p_n itself
+        for mu in partitions_of(degree):
+            for n in range(1, 5):
+                s_mu = SchurExpansion(degree, {mu: 1})
+                expected = monomial_to_schur(
+                    poly_multiply_extract(power_sum_monomial_vector(n), schur_monomial_vector(mu))
+                )
+                assert pieri_times_power_sum(s_mu, n) == expected, (mu, n)
+
+    def test_petrie_expansions(self):
+        for total in range(1, 11):
+            for n in range(1, total + 1):
+                m = total - n
+                for k in range(1, m + 2):
+                    vec = petrie_monomial_vector(k, m)
+                    expected = monomial_to_schur(
+                        poly_multiply_extract(power_sum_monomial_vector(n), vec)
+                    )
+                    assert pieri_times_power_sum(monomial_to_schur(vec), n) == expected, (k, m, n)
+
+    def test_mixed_signs_and_multiplicities(self):
+        terms = {(3, 1): 2, (2, 2): -1, (1, 1, 1, 1): 3}
+        vec = {}
+        for lam, coeff in terms.items():
+            for mu, c in schur_monomial_vector(lam).items():
+                vec[mu] = vec.get(mu, 0) + coeff * c
+        for n in range(1, 5):
+            expected = monomial_to_schur(
+                poly_multiply_extract(power_sum_monomial_vector(n), MonomialVector(4, vec))
+            )
+            assert pieri_times_power_sum(SchurExpansion(4, terms), n) == expected
+
+    def test_empty_expansion(self):
+        for n in range(1, 5):
+            assert pieri_times_power_sum(SchurExpansion(4, {}), n) == SchurExpansion(4 + n, {})
+
+    def test_rejects_nonpositive_n(self):
+        with pytest.raises(ValueError):
+            pieri_times_power_sum(SchurExpansion(0, {(): 1}), 0)
+
+    @settings(derandomize=True, deadline=None)
+    @given(
+        st.integers(0, 15).flatmap(
+            lambda m: st.tuples(st.integers(2, 9), st.just(m), st.integers(1, 16 - m))
+        )
+    )
+    def test_fast_path_at_random_points(self, triple):
+        k, m, n = triple
+        check = pieri_times_power_sum(monomial_to_schur(petrie_monomial_vector(k, m)), n)
+        assert check == petrie_times_power_sum(k, m, n)

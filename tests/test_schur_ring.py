@@ -21,12 +21,12 @@ from petrie import (
     petrie_schur_expansion,
     petrie_times_power_sum,
     poly_multiply_extract,
-    power_sum_monomial_vector,
     rim_hook_height,
     schur_monomial_vector,
     sweep_smf,
     witness_non_smf,
 )
+from petrie.oracle import power_sum_monomial_vector
 from petrie.partitions import (
     _bead_masks,
     _mask_partition,
