@@ -6,18 +6,20 @@ pure, and every returned list of partitions is in canonical order: graded
 reverse-lexicographic, largest first (for equal sizes this is plain
 descending tuple comparison).
 
-Rim hooks are added by one bead rule: a scan pointer to the first bead at
-or below the target decides whether the target is occupied, and the beads
-it passes give the height.  The rule has two kernels with one call shape,
-terms (or their views) and a hook size in, the signed coefficient map out,
-cancelled zeros kept.  :func:`_signed_rim_hooks` builds each term's beads
-for one ``n`` and keys each ``lam_plus`` by its parts, cut with slices;
-every product that is printed uses it.  :func:`_signed_hook_masks` keys it
-by an integer with one bit per bead, two bits flipped from the term's own,
-on views (:func:`_bead_masks`) built once for every hook size up to a
-``reach``; the sweep uses it, since it reads only the verdict and decodes
-one key (:func:`_mask_partition`).  For partitions of one size, masks in
-one ``floor`` sort as the partitions do.
+Rim hooks are added by one bead rule: moving bead b to an empty b + n adds
+a hook whose height is the number of beads strictly between.  The rule has
+two kernels with one call shape, terms (or their views) and a hook size in,
+the signed coefficient map out, cancelled zeros kept.
+:func:`_signed_rim_hooks` builds each term's beads for one ``n``, finds the
+empty targets with a scan pointer and keys each ``lam_plus`` by its parts,
+cut with slices; every product that is printed uses it.
+:func:`_signed_hook_masks` keys it by an integer with one bit per bead, two
+bits flipped from the term's own, on views (:func:`_bead_masks`) built once
+for every hook size up to a ``reach``: a shift finds every bead with an
+empty target, a parity view of the beads gives every sign, and each loop
+runs once per hook.  The sweep uses it, since it reads only the verdict
+and decodes one key (:func:`_mask_partition`).  For partitions of one
+size, masks in one ``floor`` sort as the partitions do.
 """
 
 from __future__ import annotations
@@ -221,29 +223,33 @@ def _signed_rim_hooks(terms: Iterable[tuple[Partition, int]], n: int) -> dict[Pa
     return acc
 
 
-_MaskView = tuple[int, int, int, list[int]]
+_MaskView = tuple[int, int, int]
 
 
 def _bead_masks(
     terms: Iterable[tuple[Partition, int]], reach: int
 ) -> tuple[list[_MaskView], int]:
-    """One ``(mask, coeff, len(lam), beads)`` view per term, for rim hooks
-    of every size ``n <= reach``, and the ``floor`` their masks share;
-    nothing is validated.
+    """One ``(mask, coeff, odd)`` view per term, for rim hooks of every size
+    ``n <= reach``, and the ``floor`` their masks share; nothing is validated.
 
     With floor = max len(lam) + reach, bead i sits at pad_i - i + floor for
     i < floor (``pad``: ``lam`` followed by zeros), so every bead is at 1 or
     above, and ``mask`` has one bit per bead.  Every ``lam_plus`` of a hook
     of size n <= reach has at most ``floor`` parts, so its mask in the same
-    ``floor`` is that of ``lam`` with one bead moved.
+    ``floor`` is that of ``lam`` with one bead moved.  The zero parts' beads
+    are bits 1 .. floor - len(lam), set as one block.  Bit j of ``odd`` is
+    the parity of the beads at j and above: a suffix XOR of ``mask``.
     """
     terms = list(terms)
     floor = max((len(lam) for lam, _ in terms), default=0) + reach
     views = []
     for lam, coeff in terms:
-        pad = lam + (0,) * (floor - len(lam))
-        beads = [p - i + floor for i, p in enumerate(pad)]
-        views.append((sum(1 << b for b in beads), coeff, len(lam), beads))
+        mask = (1 << (floor - len(lam) + 1)) - 2  # the zero parts' beads
+        mask |= sum(1 << (p - i + floor) for i, p in enumerate(lam))
+        odd, s = mask, 1
+        while s < mask.bit_length():
+            odd, s = odd ^ (odd >> s), s << 1
+        views.append((mask, coeff, odd))
     return views, floor
 
 
@@ -252,21 +258,22 @@ def _signed_hook_masks(views: list[_MaskView], n: int) -> dict[int, int]:
     sum of coeff * (-1)^height}`` over every rim hook of size ``n`` added to
     every view (views from :func:`_bead_masks` with ``reach >= n``).
 
-    The scan pointer and the height parity are those of the tuple kernel;
-    only the key differs: moving bead b to the free t = b+n flips two bits.
+    The bead rule of the tuple kernel, on whole words: ``free`` holds every
+    bead b whose target b+n is empty, and ``down`` those of them with an odd
+    count of beads strictly between, read from ``odd`` at b+1 and b+n.
+    Moving b flips two bits of the key.  No bead is tested alone: each loop
+    takes the lowest set bit, so it runs once per hook.
     """
     acc: dict[int, int] = {}
-    for mask, coeff, length, beads in views:
-        j0 = 0
-        for idx in range(length + n):
-            b = beads[idx]
-            t = b + n
-            while beads[j0] > t:
-                j0 += 1
-            if beads[j0] == t:
-                continue
-            key = mask ^ (1 << b) ^ (1 << t)
-            acc[key] = acc.get(key, 0) + (-coeff if (idx - j0) % 2 else coeff)
+    for mask, coeff, odd in views:
+        free = mask & ~(mask >> n)
+        down = free & ((odd >> 1) ^ (odd >> n))
+        for bits, sign in ((free ^ down, coeff), (down, -coeff)):
+            while bits:
+                low = bits & -bits
+                bits ^= low
+                key = mask ^ low ^ (low << n)
+                acc[key] = acc.get(key, 0) + sign
     return acc
 
 

@@ -415,20 +415,21 @@ def _sweep_pair(
 
 
 def _forked_map(task, items: list, workers: int) -> list:
-    """``[task(item) for item in items]``, computed by ``workers`` children
-    made with ``os.fork``.
+    """``[task(item) for item in items]``, computed by ``workers`` workers:
+    the caller is worker 0 and forks ``workers - 1`` children.
 
-    Child i evaluates ``items[i::workers]``, pickles ``(True, results)`` or
-    ``(False, exception)`` to its pipe and leaves by ``os._exit``.  The
-    parent reads every pipe to EOF and reaps every child before it raises a
-    child's exception or reports a child that exited without a result
+    Worker i evaluates ``items[i::workers]``; a child pickles ``(True,
+    results)`` or ``(False, exception)`` to its pipe and leaves by
+    ``os._exit``.  The caller runs its share after the forks, reads every
+    pipe to EOF, and reaps every child before it raises any exception (its
+    own or a child's) or reports a child that exited without a result
     (``ChildProcessError``), so no child outlives the call.
     """
     import pickle  # here, not at the top: only jobs > 1 pays for importing it
 
     children: list[tuple[int, int]] = []
     try:
-        for i in range(workers):
+        for i in range(1, workers):
             read_end, write_end = os.pipe()
             try:
                 pid = os.fork()
@@ -451,6 +452,7 @@ def _forked_map(task, items: list, workers: int) -> list:
                     os._exit(code)
             os.close(write_end)
             children.append((pid, read_end))
+        per_worker = [[task(item) for item in items[0::workers]]]
         blobs = []
         for _, read_end in children:
             with open(read_end, "rb", closefd=False) as stream:
@@ -460,7 +462,6 @@ def _forked_map(task, items: list, workers: int) -> list:
         for _, read_end in children:
             os.close(read_end)
         statuses = [os.waitpid(pid, 0)[1] for pid, _ in children]
-    per_child = []
     for blob, status in zip(blobs, statuses):
         if not blob or status:
             raise ChildProcessError(
@@ -470,8 +471,8 @@ def _forked_map(task, items: list, workers: int) -> list:
         ok, value = pickle.loads(blob)
         if not ok:
             raise value
-        per_child.append(value)
-    return [per_child[j % workers][j // workers] for j in range(len(items))]
+        per_worker.append(value)
+    return [per_worker[j % workers][j // workers] for j in range(len(items))]
 
 
 def sweep_smf(k_max: int, m_max: int, n_max: int, jobs: int = 1) -> SweepReport:
@@ -481,9 +482,9 @@ def sweep_smf(k_max: int, m_max: int, n_max: int, jobs: int = 1) -> SweepReport:
     triple also gets a constructed-and-verified witness.  G(k, m) and the
     bead views of its terms are built once per (k, m), padded for hooks of
     size n_max, and reused for every p_n.  With jobs > 1 the (k, m) pairs
-    are split, strided, over min(jobs, pairs, CPUs) forked children
-    (:func:`_forked_map`), or run here when that is 1; the report is
-    identical to the sequential one.
+    are split, strided, over w = min(jobs, pairs, CPUs) workers: the caller
+    and w - 1 forked children (:func:`_forked_map`), or run here when w is
+    1; the report is identical to the sequential one.
     The children are forked copies of the caller, so a caller that runs
     other threads should sweep with jobs = 1.  Platforms without ``os.fork``
     refuse jobs > 1.

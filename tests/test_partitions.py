@@ -328,6 +328,33 @@ class TestBeadMasks:
                 assert sorted(masks, reverse=True) == masks, (m, reach)
                 assert [_mask_partition(mask, floor) for mask in masks] == lams
 
+    def test_odd_is_the_parity_of_the_beads_at_and_above(self):
+        for m in range(13):
+            for lam in partitions_of(m):
+                for reach in range(4):
+                    (view,), floor = _bead_masks([(lam, 1)], reach)
+                    mask, odd = _reference_mask(lam, floor), view[2]
+                    for j in range(mask.bit_length() + 2):
+                        parity = bin(mask >> j).count("1") % 2
+                        assert (odd >> j) & 1 == parity, (lam, reach, j)
+
+    def test_kernel_matches_the_tuple_kernel_on_signed_sums(self):
+        # +-1 and +-2 over every partition of m: hooks from different terms
+        # meet, add up, and some cancel to zeros, which both kernels keep;
+        # reach 70 makes every mask span several digits of a Python int
+        coeffs, zeros = (1, -2, -1, 2), 0
+        for m in range(9):
+            terms = [(lam, coeffs[i % 4]) for i, lam in enumerate(partitions_of(m))]
+            for reach, sizes in ((6, range(1, 7)), (70, (1, 2, 5, 31, 70))):
+                views, floor = _bead_masks(terms, reach)
+                for n in sizes:
+                    by_mask = _signed_hook_masks(views, n)
+                    decoded = {_mask_partition(key, floor): c for key, c in by_mask.items()}
+                    assert len(decoded) == len(by_mask), (m, reach, n)
+                    assert decoded == _signed_rim_hooks(terms, n), (m, reach, n)
+                    zeros += list(decoded.values()).count(0)
+        assert zeros
+
 
 class TestPartitionsOf:
     def test_counts_against_recurrence(self):

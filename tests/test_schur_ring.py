@@ -33,7 +33,7 @@ from petrie.partitions import (
     _signed_hook_masks,
     _signed_rim_hooks,
 )
-from petrie.schur_ring import verify_witness
+from petrie.schur_ring import _forked_map, verify_witness
 
 
 class TestSchurExpansion:
@@ -424,15 +424,15 @@ class TestSweep:
     def test_pool_never_outnumbers_the_pairs(self, monkeypatch):
         forks = self._count_forks(monkeypatch, 64)
         assert sweep_smf(1, 1, 1, jobs=64) == sweep_smf(1, 1, 1)
-        assert len(forks) == 2
+        assert len(forks) == 1  # two pairs: the caller and one child
 
     def test_pool_never_outnumbers_the_cpus(self, monkeypatch):
         forks = self._count_forks(monkeypatch, 3)
         assert sweep_smf(2, 5, 1, jobs=64) == sweep_smf(2, 5, 1, jobs=1)
-        assert len(forks) == 3
+        assert len(forks) == 2  # three CPUs: the caller and two children
         monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown: one CPU, no fork
         assert sweep_smf(2, 5, 1, jobs=64) == sweep_smf(2, 5, 1, jobs=1)
-        assert len(forks) == 3
+        assert len(forks) == 2
 
     def test_worker_exception_reaches_the_caller(self, monkeypatch):
         import petrie.schur_ring as sr
@@ -454,12 +454,41 @@ class TestSweep:
     def test_worker_that_dies_is_reported(self, monkeypatch):
         import petrie.schur_ring as sr
 
-        monkeypatch.setattr(sr, "petrie_schur_expansion", lambda k, m: os._exit(3))
+        caller, build = os.getpid(), sr.petrie_schur_expansion
+
+        def dying(k, m):
+            if os.getpid() != caller:  # the caller's own share must not end the run
+                os._exit(3)
+            return build(k, m)
+
+        monkeypatch.setattr(sr, "petrie_schur_expansion", dying)
         monkeypatch.setattr(os, "cpu_count", lambda: 3)  # else a lone CPU runs it here
         with pytest.raises(ChildProcessError, match="status 3"):
             sweep_smf(2, 3, 2, jobs=3)
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+    def test_caller_share_exception_waits_for_every_child(self):
+        caller = os.getpid()
+
+        def task(item):
+            if os.getpid() == caller:
+                raise InternalInvariantFailure("caller share")
+            return item
+
+        with pytest.raises(InternalInvariantFailure, match="caller share"):
+            _forked_map(task, list(range(7)), 3)
+        with pytest.raises(ChildProcessError):  # every child was reaped first
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_pool_returns_items_in_order(self):
+        # worker i takes items i, i+3, ...; the caller is worker 0
+        results = _forked_map(lambda item: (item, os.getpid()), list(range(7)), 3)
+        assert [item for item, _ in results] == list(range(7))
+        pids = [pid for _, pid in results]
+        assert pids[0::3] == [os.getpid()] * 3
+        assert pids[1] == pids[4] and pids[2] == pids[5]
+        assert len(set(pids)) == 3
 
     def test_jobs_need_fork(self, monkeypatch):
         monkeypatch.delattr(os, "fork")
