@@ -25,7 +25,7 @@ size, masks in one ``floor`` sort as the partitions do.
 from __future__ import annotations
 
 from itertools import accumulate
-from operator import ge, lt
+from operator import ge, le, lt
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import MalformedPartition, NotARimHook
@@ -83,9 +83,7 @@ def _dominates(lam: Sequence[int], mu: Sequence[int]) -> bool:
 def contains(inner: Partition, outer: Partition) -> bool:
     """Componentwise containment, missing parts reading as 0."""
     inner, outer = as_partition(inner), as_partition(outer)
-    if len(inner) > len(outer):
-        return False
-    return all(inner[i] <= outer[i] for i in range(len(inner)))
+    return len(inner) <= len(outer) and all(map(le, inner, outer))
 
 
 class _SkewShapeFields(NamedTuple):
@@ -123,25 +121,15 @@ class SkewShape(_SkewShapeFields):
 
 
 def is_rim_hook(shape: SkewShape) -> bool:
-    """True iff the skew diagram is edge-connected, nonempty, and 2x2-free."""
-    cells = set(shape.cells())
-    if not cells:
-        return False
-    for r, c in cells:
-        if (r, c + 1) in cells and (r + 1, c) in cells and (r + 1, c + 1) in cells:
-            return False
-    seen = set()
-    stack = [next(iter(cells))]
-    while stack:
-        cell = stack.pop()
-        if cell in seen:
-            continue
-        seen.add(cell)
-        r, c = cell
-        for nbr in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
-            if nbr in cells and nbr not in seen:
-                stack.append(nbr)
-    return len(seen) == len(cells)
+    """True iff the skew diagram is nonempty, edge-connected and 2x2-free,
+    read from its rows: each occupied row r (inner[r] < outer[r]) but the
+    last shares exactly one column with the row below, outer[r+1] ==
+    inner[r] + 1.  No shared column disconnects them, two hold a 2x2 block,
+    and one makes row r+1 occupied, so the occupied rows are consecutive."""
+    outer, inner = shape
+    inner += (0,) * (len(outer) - len(inner))
+    rows = [r for r, (low, high) in enumerate(zip(inner, outer)) if low < high]
+    return bool(rows) and all(outer[r + 1] == inner[r] + 1 for r in rows[:-1])
 
 
 def rim_hook_height(shape: SkewShape) -> int:
@@ -202,9 +190,9 @@ def _signed_rim_hooks(terms: Iterable[tuple[Partition, int]], n: int) -> dict[Pa
     each slide one slot down, so their parts grow by one; j0 <= len(lam),
     so the parts above it are those of ``lam``.  The hook's height is the
     number of sliding beads: the beads strictly between b and b+n.  This is
-    the one height rule of the fast path; the cell count of
-    :func:`rim_hook_height` is its checked definition.  One partition never
-    yields two equal hooks.
+    the one height rule of the fast path; :func:`rim_hook_height` counts
+    rows instead, and the tests' cell reference is the checked definition
+    of both.  One partition never yields two equal hooks.
     """
     acc: dict[Partition, int] = {}
     for lam, coeff in terms:

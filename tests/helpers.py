@@ -11,7 +11,8 @@ import io
 import random
 from contextlib import redirect_stderr, redirect_stdout
 from functools import lru_cache
-from itertools import permutations
+from itertools import accumulate, permutations
+from operator import le
 
 from hypothesis import strategies as st
 
@@ -22,7 +23,6 @@ from petrie import (
     SkewShape,
     conjugate,
     contains,
-    is_rim_hook,
     monomial_to_schur,
     ninv,
     partitions_of,
@@ -31,7 +31,6 @@ from petrie import (
     poly_multiply_extract,
     profile,
     remove_rim_hooks,
-    rim_hook_height,
 )
 from petrie.cli import main as cli_main
 from petrie.partitions import beta_set, partition_from_beta_set
@@ -61,6 +60,57 @@ def partitions_strategy(max_size: int = 8, max_part: int = 8):
     ).map(lambda parts: tuple(sorted(parts, reverse=True)))
 
 
+def cell_is_rim_hook(shape: SkewShape) -> bool:
+    """The definition on cells: the skew diagram's cells are nonempty,
+    hold no 2x2 block, and a search from one cell reaches all of them."""
+    cells = set(shape.cells())
+    if not cells:
+        return False
+    for r, c in cells:
+        if (r, c + 1) in cells and (r + 1, c) in cells and (r + 1, c + 1) in cells:
+            return False
+    seen = set()
+    stack = [next(iter(cells))]
+    while stack:
+        cell = stack.pop()
+        if cell in seen:
+            continue
+        seen.add(cell)
+        r, c = cell
+        for nbr in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
+            if nbr in cells and nbr not in seen:
+                stack.append(nbr)
+    return len(seen) == len(cells)
+
+
+def cell_rim_hook_height(shape: SkewShape) -> int:
+    """The distinct rows among a rim hook's cells, minus one."""
+    assert cell_is_rim_hook(shape), shape
+    return len({r for r, _ in shape.cells()}) - 1
+
+
+@st.composite
+def skew_shapes_strategy(draw):
+    """Skew shapes of size up to 42: at most three parts of 2 to 8 over
+    columns of 2s and 1s, as in the collision witnesses.  Half of the inner
+    partitions remove a rim hook, then move one row's end by one when the
+    result is still a contained partition; the rest cut each row at random."""
+    head = sorted(draw(st.lists(st.integers(2, 8), max_size=3)), reverse=True)
+    outer = tuple(head) + (2,) * draw(st.integers(0, 6)) + (1,) * draw(st.integers(0, 6))
+    removals = remove_rim_hooks(outer, draw(st.integers(1, max(sum(outer), 1))))
+    if removals and draw(st.booleans()):
+        inner = list(draw(st.sampled_from(removals)))
+        inner += [0] * (len(outer) - len(inner))
+        moved = inner[:]
+        moved[draw(st.integers(0, len(outer) - 1))] += draw(st.sampled_from((-1, 1)))
+        if min(moved) >= 0 and all(map(le, moved, outer)) and moved == sorted(moved, reverse=True):
+            inner = moved
+    else:
+        cuts = draw(st.lists(st.integers(0, 8), min_size=len(outer), max_size=len(outer)))
+        inner = accumulate(map(min, cuts, outer), min)
+    return SkewShape(outer, inner)
+
+
 def filter_add_rim_hooks(lam, n):
     """Rim-hook additions found by filtering containing partitions.
 
@@ -69,7 +119,7 @@ def filter_add_rim_hooks(lam, n):
     has no empty row between two occupied ones), and a row below another
     new row ends exactly one column past that row's old end (the two rows
     must share a column to be connected, and only one, or they hold a 2x2
-    square).  ``is_rim_hook`` decides each candidate.
+    square).  ``cell_is_rim_hook`` decides each candidate.
     """
     inner = tuple(lam) + (0,) * n
     candidates = []
@@ -92,14 +142,14 @@ def filter_add_rim_hooks(lam, n):
 
     walk(0, [], n, False)
     return sorted(
-        (big for big in candidates if is_rim_hook(SkewShape(big, lam))), reverse=True
+        (big for big in candidates if cell_is_rim_hook(SkewShape(big, lam))), reverse=True
     )
 
 
 @lru_cache(maxsize=None)
 def _reference_signed_hooks(lam, n):
     return tuple(
-        (big, -1 if rim_hook_height(SkewShape(big, lam)) % 2 else 1)
+        (big, -1 if cell_rim_hook_height(SkewShape(big, lam)) % 2 else 1)
         for big in filter_add_rim_hooks(lam, n)
     )
 
@@ -122,7 +172,7 @@ def filter_remove_rim_hooks(lam, n):
     return [
         small
         for small in partitions_of(total)
-        if contains(small, lam) and is_rim_hook(SkewShape(lam, small))
+        if contains(small, lam) and cell_is_rim_hook(SkewShape(lam, small))
     ]
 
 
@@ -191,7 +241,7 @@ def removal_shift(lam, mu, k):
     ``(position, cycle_length, parity, height)``, position 1-based.
     """
     p_lam, p_mu = profile(conjugate(lam), k), profile(conjugate(mu), k)
-    height = rim_hook_height(SkewShape(lam, mu))
+    height = cell_rim_hook_height(SkewShape(lam, mu))
     b = k - height
     beta, beta_new = p_lam.beta, p_mu.beta
     i = next(i for i in range(k - 1) if beta[i] != beta_new[i])
@@ -262,7 +312,7 @@ def random_chain_sign(lam, k, rng: random.Random):
         if not options:
             return sign, current
         nxt = rng.choice(options)
-        height = rim_hook_height(SkewShape(current, nxt))
+        height = cell_rim_hook_height(SkewShape(current, nxt))
         sign *= -1 if height % 2 == 0 else 1
         current = nxt
 

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 
 from helpers import (
+    cell_is_rim_hook,
+    cell_rim_hook_height,
     dominates,
     filter_add_rim_hooks,
     filter_remove_rim_hooks,
@@ -12,6 +14,7 @@ from helpers import (
     partitions_strategy,
     reference_as_partition,
     rim_hook_columns,
+    skew_shapes_strategy,
 )
 from petrie import (
     MalformedPartition,
@@ -185,12 +188,37 @@ class TestSkewShape:
             assert copy == shape and type(copy) is SkewShape
 
 
+def _assert_row_rule_matches_cells(shape):
+    assert is_rim_hook(shape) == cell_is_rim_hook(shape), shape
+    if cell_is_rim_hook(shape):
+        assert rim_hook_height(shape) == cell_rim_hook_height(shape), shape
+    else:
+        with pytest.raises(NotARimHook):
+            rim_hook_height(shape)
+
+
 class TestRimHooks:
     def test_is_rim_hook_examples(self):
         assert is_rim_hook(SkewShape((2, 2), (1,)))
         assert not is_rim_hook(SkewShape((2, 1, 1), (1,)))  # disconnected
         assert not is_rim_hook(SkewShape((2, 2), ()))  # contains a 2x2 square
         assert not is_rim_hook(SkewShape((2, 1), (2, 1)))  # empty shape
+
+    def test_row_rule_matches_cells_on_every_small_shape(self):
+        shapes = 0
+        for size in range(11):
+            for outer in partitions_of(size):
+                for inner_size in range(size + 1):
+                    for inner in partitions_of(inner_size):
+                        if contains(inner, outer):
+                            _assert_row_rule_matches_cells(SkewShape(outer, inner))
+                            shapes += 1
+        assert shapes == 2888
+
+    @given(skew_shapes_strategy())
+    @settings(derandomize=True, max_examples=300)
+    def test_row_rule_matches_cells_on_random_shapes(self, shape):
+        _assert_row_rule_matches_cells(shape)
 
     def test_heights_from_worked_example(self):
         assert rim_hook_height(SkewShape((4, 3, 2, 2, 1, 1, 1), (2, 1, 1, 1, 1, 1, 1))) == 3
@@ -279,7 +307,7 @@ class TestAddRemove:
                     signed = _signed_rim_hooks([(lam, 1)], n)
                     assert sorted(signed, reverse=True) == filter_add_rim_hooks(lam, n)
                     for lam_plus, sign in signed.items():
-                        height = rim_hook_height(SkewShape(lam_plus, lam))
+                        height = cell_rim_hook_height(SkewShape(lam_plus, lam))
                         assert sign == (-1) ** height, (lam, n, lam_plus)
 
     def test_views_padded_past_n_match_cell_heights(self):
@@ -289,7 +317,7 @@ class TestAddRemove:
             for lam in partitions_of(m):
                 for n in range(1, 9):
                     expected = {
-                        big: (-1) ** rim_hook_height(SkewShape(big, lam))
+                        big: (-1) ** cell_rim_hook_height(SkewShape(big, lam))
                         for big in filter_add_rim_hooks(lam, n)
                     }
                     for reach in range(n, 9):

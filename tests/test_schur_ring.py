@@ -383,6 +383,13 @@ class TestWitness:
             verify_witness(3, 3, (2, 2, 1), (2, 2, 1), (2, 2, 2, 2))
         with pytest.raises(InternalInvariantFailure):
             verify_witness(3, 3, (3, 1, 1), (2, 2, 1), (2, 2, 2, 2))
+        lam, mu, lam_plus = witness_non_smf(3, 5, 3)
+        assert (lam, mu, lam_plus) == ((2, 1, 1, 1), (2, 2, 1), (2, 2, 2, 2))
+        with pytest.raises(InternalInvariantFailure, match=r"^\(2, 1, 1, 1\) not contained in \(2, 2, 1\)$"):
+            verify_witness(3, 3, lam, mu, mu)
+        for size, big in ((6, lam_plus), (3, (3, 2, 1, 1, 1))):
+            with pytest.raises(InternalInvariantFailure, match=f"is not a rim hook of size {size}$"):
+                verify_witness(3, size, lam, mu, big)
 
 
 class TestSweep:
