@@ -18,8 +18,9 @@ bits flipped from the term's own, on views (:func:`_bead_masks`) built once
 for every hook size up to a ``reach``: a shift finds every bead with an
 empty target, a parity view of the beads gives every sign, and each loop
 runs once per hook.  The sweep uses it, since it reads only the verdict
-and decodes one key (:func:`_mask_partition`).  For partitions of one
-size, masks in one ``floor`` sort as the partitions do.
+and decodes one key (:func:`_mask_partition`); it reads the views of G(k, m)
+off the abacus, no partition built (:func:`~petrie.petrie_numbers.grinberg_masks`).
+For partitions of one size, masks in one ``floor`` sort as the partitions do.
 """
 
 from __future__ import annotations
@@ -234,11 +235,16 @@ def _bead_masks(
     for lam, coeff in terms:
         mask = (1 << (floor - len(lam) + 1)) - 2  # the zero parts' beads
         mask |= sum(1 << (p - i + floor) for i, p in enumerate(lam))
-        odd, s = mask, 1
-        while s < mask.bit_length():
-            odd, s = odd ^ (odd >> s), s << 1
-        views.append((mask, coeff, odd))
+        views.append(_mask_view(mask, coeff))
     return views, floor
+
+
+def _mask_view(mask: int, coeff: int) -> _MaskView:
+    """``(mask, coeff, odd)``: bit j of ``odd`` is the parity of the beads at j and above."""
+    odd, s = mask, 1
+    while s < mask.bit_length():
+        odd, s = odd ^ (odd >> s), s << 1
+    return mask, coeff, odd
 
 
 def _signed_hook_masks(views: list[_MaskView], n: int) -> dict[int, int]:

@@ -3,17 +3,18 @@
 Each returns an exact integer in {-1, 0, 1}: the coefficient of the Schur
 function s_lam in the Petrie symmetric function of matching degree.
 ``grinberg_support`` lists the nonzero ones of one degree straight off the
-abacus.  ``pet_det`` is the mu = () case of ``pet_generalized``.
+abacus, ``grinberg_masks`` their bead masks.  ``pet_det`` is the mu = ()
+case of ``pet_generalized``.
 """
 
 from __future__ import annotations
 
-from itertools import chain, combinations, repeat, starmap
+from itertools import combinations, starmap
 from operator import gt, sub
 from typing import Iterator, Sequence
 
 from .abacus import gammas_distinct, k_core, ninv, profile, rim_hook_sequence
-from .partitions import Partition, as_partition, conjugate
+from .partitions import Partition, _mask_view, _MaskView, as_partition, conjugate
 
 
 def _interval_det(spans: Sequence[tuple[int, int]]) -> int:
@@ -85,6 +86,18 @@ def pet_grinberg(lam: Partition, k: int) -> int:
     return _grinberg_sign(prof.beta, prof.gamma)
 
 
+def _placements(k: int, m: int) -> Iterator[tuple[list[int], int]]:
+    """Each term of G(k, m), k >= 2, as the unsorted beads of lam' and its sign."""
+    empty = (k - 1 - m) % k
+    levels = (m - (k - 1) + empty) // k
+    runners = [r for r in range(k) if r != empty]
+    width = levels + k - 2
+    for bars in combinations(range(width), k - 2):
+        split = [b - a - 1 for a, b in zip((-1,) + bars, bars + (width,))]
+        sign = (-1) ** sum(starmap(gt, combinations(split, 2)), k * levels)  # kL + inversions
+        yield [level * k + r for level, r in zip(split, runners)], sign
+
+
 def grinberg_support(k: int, m: int) -> Iterator[tuple[Partition, int]]:
     """Every partition of m with a nonzero k-Petrie number, with that number.
 
@@ -96,7 +109,7 @@ def grinberg_support(k: int, m: int) -> Iterator[tuple[Partition, int]]:
     e = (k-1-m) mod k and the number L = (m-(k-1)+e)/k of levels the beads
     sit below the top row in total.  Each split of L over the other k-1
     runners is one lam, C(L+k-2, k-2) in all, enumerated in lexicographic
-    order by stars and bars.
+    order by stars and bars (:func:`_placements`).
 
     With the beads level_r * k + r in ascending order c_0 < ... < c_{k-2}
     and c_{-1} = -1, the part k-1-i of lam repeats c_i - c_{i-1} - 1 times,
@@ -107,24 +120,40 @@ def grinberg_support(k: int, m: int) -> Iterator[tuple[Partition, int]]:
     bead, ninv(gamma) counts the runners r < s with
     level_r * k + r > level_s * k + s, which for 0 < s - r < k holds iff
     level_r > level_s.  So the sign is (-1)^(kL + inversions of the split).
+
+    Masks (:func:`grinberg_masks`): walked through an F x (k-1) box, F >=
+    len(lam), lam's boundary has the up step of row j at step lam_j + F-1-j
+    and, from the far end, the right step of column i at step c_i, so the
+    beads of lam are 0 .. F+k-2 but the F+k-2-c_i.  The runs give lam
+    c_{k-2} - (k-2) parts, most when all L levels sit on the highest runner
+    in use, r_max (k-1, or k-2 if that is empty): F = Lk + r_max - (k-2).
     """
     if k < 2:
         raise ValueError("grinberg_support needs k >= 2")
     if m < 0:
         raise ValueError("m must be >= 0")
+    rows = [(part,) * m for part in range(k - 1, 0, -1)]
+    for beads, sign in _placements(k, m):
+        beads.sort()
+        lam: Partition = ()
+        for row, run in zip(rows, map(sub, beads, [-1] + beads)):
+            lam += row[: run - 1]
+        yield lam, sign
+
+
+def grinberg_masks(k: int, m: int, reach: int) -> tuple[list[_MaskView], int]:
+    """:func:`~petrie.partitions._bead_masks` of G(k, m)'s terms, no partition
+    built: bits 1 .. floor+k-1 but the floor+k-1-c (:func:`grinberg_support`)."""
+    if k == 1:  # G(1, m) is 1 at m = 0 and 0 above
+        return ([_mask_view((1 << (reach + 1)) - 2, 1)] if m == 0 else []), reach
     empty = (k - 1 - m) % k
-    levels = (m - (k - 1) + empty) // k
-    runners = [r for r in range(k) if r != empty]
-    parity = k * levels % 2
-    width = levels + k - 2
-    parts = range(k - 1, 0, -1)
-    for bars in combinations(range(width), k - 2):
-        split = [b - a - 1 for a, b in zip((-1,) + bars, bars + (width,))]
-        beads = sorted([level * k + r for level, r in zip(split, runners)])
-        runs = map(sub, beads, [0] + [c + 1 for c in beads])
-        lam = tuple(chain.from_iterable(map(repeat, parts, runs)))
-        inversions = sum(starmap(gt, combinations(split, 2)))
-        yield lam, -1 if (parity + inversions) % 2 else 1
+    r_max = k - 2 if empty == k - 1 else k - 1  # the highest runner in use
+    floor = m - (k - 1) + empty + r_max - (k - 2) + reach  # Lk = m - (k-1) + e
+    full = (1 << (floor + k)) - 2
+    return [
+        _mask_view(full ^ sum([1 << (floor + k - 1 - c) for c in beads]), sign)
+        for beads, sign in _placements(k, m)
+    ], floor
 
 
 def pet_rimhook(lam: Partition, k: int) -> int:

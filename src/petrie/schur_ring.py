@@ -15,11 +15,10 @@ import os
 from functools import partial
 from typing import Mapping, NamedTuple
 
-from .errors import InternalInvariantFailure, NotARimHook, PreconditionViolated
+from .errors import InternalInvariantFailure, MalformedPartition, NotARimHook, PreconditionViolated
 from .partitions import (
     Partition,
     SkewShape,
-    _bead_masks,
     _mask_partition,
     _signed_hook_masks,
     _signed_rim_hooks,
@@ -27,7 +26,7 @@ from .partitions import (
     format_partition,
     rim_hook_height,
 )
-from .petrie_numbers import grinberg_support, pet_det
+from .petrie_numbers import grinberg_masks, grinberg_support, pet_det
 
 
 class _HomogeneousVector:
@@ -240,34 +239,36 @@ def verify_witness(
     """
     if lam == mu:
         raise InternalInvariantFailure("witness partitions coincide")
-    pet_lam, pet_mu = pet_det(lam, k), pet_det(mu, k)
-    if pet_lam == 0 or pet_mu == 0:
-        raise InternalInvariantFailure("witness partition has zero Petrie number")
-    signs = []
-    for small in (lam, mu):
-        try:
-            shape = SkewShape(lam_plus, small)
-        except ValueError:
-            raise InternalInvariantFailure(f"{small} not contained in {lam_plus}") from None
-        try:
-            if shape.size != n:
-                raise NotARimHook
-            height = rim_hook_height(shape)
-        except NotARimHook:
-            raise InternalInvariantFailure(
-                f"{lam_plus}/{small} is not a rim hook of size {n}"
-            ) from None
-        signs.append((-1) ** height)
+    try:  # a shape that is not a partition is the library's defect, not bad input
+        pet_lam, pet_mu = pet_det(lam, k), pet_det(mu, k)
+        if pet_lam == 0 or pet_mu == 0:
+            raise InternalInvariantFailure("witness partition has zero Petrie number")
+        signs = []
+        for small in (lam, mu):
+            try:
+                shape = SkewShape(lam_plus, small)
+            except ValueError:
+                raise InternalInvariantFailure(f"{small} not contained in {lam_plus}") from None
+            try:
+                if shape.size != n:
+                    raise NotARimHook
+                height = rim_hook_height(shape)
+            except NotARimHook:
+                raise InternalInvariantFailure(
+                    f"{lam_plus}/{small} is not a rim hook of size {n}"
+                ) from None
+            signs.append((-1) ** height)
+    except MalformedPartition as exc:
+        raise InternalInvariantFailure(f"witness shape is not a partition: {exc}") from None
     sign_lam, sign_mu = signs
     if sign_lam * pet_lam != sign_mu * pet_mu:
         raise InternalInvariantFailure("witness contributions do not reinforce")
 
 
 def _stack(d: int, twos: int, ones: int) -> Partition:
-    parts = ([d] if d else []) + [2] * twos + [1] * ones
     if twos < 0 or ones < 0:
         raise InternalInvariantFailure(f"negative multiplicity in ({d},{twos},{ones})")
-    return as_partition(parts)
+    return (d,) * (d > 0) + (2,) * twos + (1,) * ones  # canonical: d is never 1
 
 
 def witness_non_smf(
@@ -387,8 +388,9 @@ def _sweep_pair(
     km: tuple[int, int], n_max: int
 ) -> tuple[list[NonSmfEntry], list[tuple[int, int, int]]]:
     """The non-SMF entries and the disagreements for (k, m, n), n = 1..n_max,
-    from one expansion of G(k, m) and one set of its bead-mask views, built
-    once for hooks up to ``n_max`` and reused for every p_n; these are the
+    from one set of bead-mask views of G(k, m), read off its abacus placements
+    (:func:`~petrie.petrie_numbers.grinberg_masks`) with no partition built,
+    padded for hooks up to ``n_max`` and reused for every p_n; these are the
     only bead views shared across hook sizes.  Each product's map is keyed
     by the bead mask of ``lam_plus``, not by its parts, and each verdict is
     read straight from it, cancelled zeros and all; no expansion is built
@@ -396,7 +398,7 @@ def _sweep_pair(
     canonical order (:func:`_smf_verdict`), and it is the only mask
     decoded."""
     k, m = km
-    views, floor = _bead_masks(petrie_schur_expansion(k, m)._terms.items(), n_max)
+    views, floor = grinberg_masks(k, m, n_max)
     entries: list[NonSmfEntry] = []
     disagreements: list[tuple[int, int, int]] = []
     for n in range(1, n_max + 1):
@@ -480,12 +482,12 @@ def sweep_smf(k_max: int, m_max: int, n_max: int, jobs: int = 1) -> SweepReport:
     """Compare observed and predicted SMF verdicts over a whole grid.
 
     Covers k in 1..k_max, m in 0..m_max, n in 1..n_max.  Every non-SMF
-    triple also gets a constructed-and-verified witness.  G(k, m) and the
-    bead views of its terms are built once per (k, m), padded for hooks of
-    size n_max, and reused for every p_n.  With jobs > 1 the (k, m) pairs
-    are split, strided, over w = min(jobs, pairs, CPUs) workers: the caller
-    and w - 1 forked children (:func:`_forked_map`), or run here when w is
-    1; the report is identical to the sequential one.
+    triple also gets a constructed-and-verified witness.  The bead views of
+    G(k, m) are read off its abacus placements, no partition built, once per
+    (k, m), padded for hooks of size n_max, and reused for every p_n.  With
+    jobs > 1 the (k, m) pairs are split, strided, over w = min(jobs, pairs,
+    CPUs) workers: the caller and w - 1 forked children (:func:`_forked_map`),
+    or run here when w is 1; the report is identical to the sequential one.
     The children are forked copies of the caller, so a caller that runs
     other threads should sweep with jobs = 1.  Platforms without ``os.fork``
     refuse jobs > 1.

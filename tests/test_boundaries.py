@@ -72,7 +72,7 @@ def test_oracle_imports_nothing_from_the_fast_path():
         elif isinstance(node, ast.Import):
             for alias in node.names:
                 assert not set(alias.name.split(".")) & FAST_PATH, alias.name
-    for name in ("_signed_rim_hooks", "grinberg_support", "multiply_power_sum"):
+    for name in ("_signed_rim_hooks", "grinberg_support", "grinberg_masks", "multiply_power_sum"):
         assert name not in source
 
 

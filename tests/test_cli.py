@@ -587,6 +587,24 @@ class TestExitCodes:
         code, _, err = run_cli(["sweep", "3", "5", "3"])
         assert code == 5
 
+    def test_witness_shape_not_a_partition_exits_5(self, monkeypatch):
+        # a library-built shape that is not a partition is a defect that the
+        # sweep reports as a disagreement, not bad arguments (exit 2)
+        import petrie.schur_ring as sr
+
+        stack = sr._stack
+        for bad in range(3):  # lam_plus, lam, mu in the order they are stacked
+            calls = []
+
+            def broken(*args):
+                calls.append(args)
+                return (1, 2, 2) if (len(calls) - 1) % 3 == bad else stack(*args)
+
+            monkeypatch.setattr(sr, "_stack", broken)
+            code, out, _ = run_cli(["sweep", "3", "5", "3"])
+            assert code == 5, bad
+            assert "DISAGREEMENT at k=3 m=5 n=3" in out, bad
+
 
 class TestFormatSelection:
     def test_env_var_default(self, monkeypatch):

@@ -12,10 +12,12 @@ from petrie import (
     pet_grinberg,
     pet_rimhook,
     petrie_monomial_vector,
+    petrie_schur_expansion,
     poly_multiply_extract,
     schur_monomial_vector,
 )
-from petrie.petrie_numbers import _interval_det, grinberg_support
+from petrie.partitions import _bead_masks
+from petrie.petrie_numbers import _interval_det, grinberg_masks, grinberg_support
 
 
 class TestPetDet:
@@ -64,6 +66,19 @@ class TestGrinbergSupport:
                 if m <= 40:
                     for lam, sign in terms:
                         assert sign == pet_grinberg(lam, k), (k, m, lam)
+
+    def test_masks_are_the_bead_masks_of_the_terms(self):
+        # same views in the same order, and a floor reach above the longest
+        # term; k = 1 and m < k-1 included.  Every reach up to m = 12, then
+        # one of them in turn, where the terms are many
+        for k in range(1, 14):
+            for m in range(61):
+                terms = petrie_schur_expansion(k, m)._terms
+                longest = max(map(len, terms), default=0)
+                for reach in (1, 5, 12) if m <= 12 else ((1, 5, 12)[m % 3],):
+                    views, floor = grinberg_masks(k, m, reach)
+                    assert (views, floor) == _bead_masks(terms.items(), reach), (k, m, reach)
+                    assert floor == longest + reach, (k, m, reach)
 
 
 class TestPetRimhook:

@@ -444,14 +444,14 @@ class TestSweep:
     def test_worker_exception_reaches_the_caller(self, monkeypatch):
         import petrie.schur_ring as sr
 
-        build = sr.petrie_schur_expansion
+        build = sr.grinberg_masks
 
-        def failing(k, m):
+        def failing(k, m, reach):
             if (k, m) == (2, 3):
                 raise InternalInvariantFailure("injected")
-            return build(k, m)
+            return build(k, m, reach)
 
-        monkeypatch.setattr(sr, "petrie_schur_expansion", failing)
+        monkeypatch.setattr(sr, "grinberg_masks", failing)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         with pytest.raises(InternalInvariantFailure, match="injected"):
             sweep_smf(3, 4, 2, jobs=2)
@@ -461,14 +461,14 @@ class TestSweep:
     def test_worker_that_dies_is_reported(self, monkeypatch):
         import petrie.schur_ring as sr
 
-        caller, build = os.getpid(), sr.petrie_schur_expansion
+        caller, build = os.getpid(), sr.grinberg_masks
 
-        def dying(k, m):
+        def dying(k, m, reach):
             if os.getpid() != caller:  # the caller's own share must not end the run
                 os._exit(3)
-            return build(k, m)
+            return build(k, m, reach)
 
-        monkeypatch.setattr(sr, "petrie_schur_expansion", dying)
+        monkeypatch.setattr(sr, "grinberg_masks", dying)
         monkeypatch.setattr(os, "cpu_count", lambda: 3)  # else a lone CPU runs it here
         with pytest.raises(ChildProcessError, match="status 3"):
             sweep_smf(2, 3, 2, jobs=3)
@@ -507,13 +507,13 @@ class TestSweep:
         import petrie.schur_ring as sr
 
         calls = []
-        build = sr.petrie_schur_expansion
+        build = sr.grinberg_masks
 
-        def counted(k, m):
+        def counted(k, m, reach):
             calls.append((k, m))
-            return build(k, m)
+            return build(k, m, reach)
 
-        monkeypatch.setattr(sr, "petrie_schur_expansion", counted)
+        monkeypatch.setattr(sr, "grinberg_masks", counted)
         report = sweep_smf(4, 6, 5)
         assert report.triples == 4 * 7 * 5
         assert len(calls) == 4 * (6 + 1)
