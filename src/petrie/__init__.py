@@ -44,7 +44,6 @@ from .partitions import (
     add_rim_hooks,
     as_partition,
     conjugate,
-    contains,
     format_partition,
     is_rim_hook,
     parse_partition,

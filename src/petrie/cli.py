@@ -33,7 +33,7 @@ Records are dicts with one shared order of ``str`` keys, each field of which,
 taken across the records, is again such a list.  Only exact types qualify,
 since ``"%d" % True`` is ``1`` where JSON says ``true``: bools, ``IntEnum``,
 ``NamedTuple`` and empty containers take the generic path, and whatever the
-renderer does not know goes to ``json.dumps``.
+renderer does not know goes to ``json.dumps``, imported only then.
 
 Exit codes: 0 ok, 1 stdout closed before the output was written (as by
 ``| head``), 2 bad arguments, 3 verification mismatch, evaluator
@@ -44,10 +44,9 @@ the closed form.
 
 from __future__ import annotations
 
-import json
 import os
 import sys
-from json.encoder import encode_basestring_ascii as _quote
+from _json import encode_basestring_ascii as _quote  # the C function json.encoder uses
 from itertools import chain, repeat
 from operator import itemgetter
 from types import SimpleNamespace
@@ -104,12 +103,16 @@ def _emit(value: Any, pad: str, chunks: list[str]) -> None:
         chunks.append(int.__repr__(value))
     elif kind is str:
         chunks.append(_quote(value))
-    elif kind is dict and value and all(type(key) is str for key in value):
+    elif kind is bool or value is None:
+        chunks.append("null" if value is None else "true" if value else "false")
+    elif (kind is list or kind is tuple or kind is dict) and not value:
+        chunks.append("{}" if kind is dict else "[]")
+    elif kind is dict and all(type(key) is str for key in value):
         for sep, (key, item) in zip(_seps("{", inner), value.items()):
             chunks.append(sep + _quote(key) + ": ")
             _emit(item, inner, chunks)
         chunks.append(pad + "}")
-    elif (kind is list or kind is tuple) and value:
+    elif kind is list or kind is tuple:
         rows = _rows(value, inner)
         if rows is not None:
             chunks.extend(chain.from_iterable(zip(_seps("[", inner), rows)))
@@ -124,6 +127,7 @@ def _emit(value: Any, pad: str, chunks: list[str]) -> None:
         else:
             _emit(value.to_json_dict()["terms"], pad, chunks)
     else:  # JSON text holds no raw newline inside a string, so re-padding is safe
+        import json
         chunks.append(json.dumps(value, indent=2).replace("\n", pad))
 
 

@@ -104,7 +104,7 @@ class SkewShape(_SkewShapeFields):
 
     def __new__(cls, outer: Iterable[int], inner: Iterable[int]) -> SkewShape:
         outer, inner = as_partition(outer), as_partition(inner)
-        if not contains(inner, outer):
+        if len(inner) > len(outer) or not all(map(le, inner, outer)):
             raise ValueError(f"{inner} is not contained in {outer}")
         return super().__new__(cls, outer, inner)
 
@@ -256,18 +256,25 @@ def _signed_hook_masks(views: list[_MaskView], n: int) -> dict[int, int]:
     bead b whose target b+n is empty, and ``down`` those of them with an odd
     count of beads strictly between, read from ``odd`` at b+1 and b+n.
     Moving b flips two bits of the key.  No bead is tested alone: each loop
-    takes the lowest set bit, so it runs once per hook.
+    takes the lowest set bit, so it runs once per hook, and ``up = free ^
+    down`` (adding ``coeff``) and ``down`` (``-coeff``) have a loop each.
     """
     acc: dict[int, int] = {}
+    get = acc.get
     for mask, coeff, odd in views:
         free = mask & ~(mask >> n)
         down = free & ((odd >> 1) ^ (odd >> n))
-        for bits, sign in ((free ^ down, coeff), (down, -coeff)):
-            while bits:
-                low = bits & -bits
-                bits ^= low
-                key = mask ^ low ^ (low << n)
-                acc[key] = acc.get(key, 0) + sign
+        up = free ^ down
+        while up:
+            low = up & -up
+            up ^= low
+            key = mask ^ low ^ (low << n)
+            acc[key] = get(key, 0) + coeff
+        while down:
+            low = down & -down
+            down ^= low
+            key = mask ^ low ^ (low << n)
+            acc[key] = get(key, 0) - coeff
     return acc
 
 

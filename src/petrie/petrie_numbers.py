@@ -143,17 +143,24 @@ def grinberg_support(k: int, m: int) -> Iterator[tuple[Partition, int]]:
 
 def grinberg_masks(k: int, m: int, reach: int) -> tuple[list[_MaskView], int]:
     """:func:`~petrie.partitions._bead_masks` of G(k, m)'s terms, no partition
-    built: bits 1 .. floor+k-1 but the floor+k-1-c (:func:`grinberg_support`)."""
+    built: bits 1 .. top-1 but the top-1-c, top = floor+k (:func:`grinberg_support`).
+    ``odd`` is linear, and a lone bit p has bits 0 .. p, so it is the
+    ``odd`` of ``full``, built once, with bits 0 .. top-c flipped per hole."""
     if k == 1:  # G(1, m) is 1 at m = 0 and 0 above
         return ([_mask_view((1 << (reach + 1)) - 2, 1)] if m == 0 else []), reach
     empty = (k - 1 - m) % k
     r_max = k - 2 if empty == k - 1 else k - 1  # the highest runner in use
     floor = m - (k - 1) + empty + r_max - (k - 2) + reach  # Lk = m - (k-1) + e
-    full = (1 << (floor + k)) - 2
-    return [
-        _mask_view(full ^ sum([1 << (floor + k - 1 - c) for c in beads]), sign)
-        for beads, sign in _placements(k, m)
-    ], floor
+    top = floor + k
+    full, _, odd_full = _mask_view((1 << top) - 2, 1)
+    views = []
+    for beads, sign in _placements(k, m):
+        mask, odd = full, odd_full
+        for c in beads:
+            mask ^= 1 << (top - 1 - c)
+            odd ^= (1 << (top - c)) - 1
+        views.append((mask, sign, odd))
+    return views, floor
 
 
 def pet_rimhook(lam: Partition, k: int) -> int:

@@ -11,6 +11,7 @@ witnesses in the region where it does not.
 
 from __future__ import annotations
 
+import marshal
 import os
 from functools import partial
 from typing import Mapping, NamedTuple
@@ -142,6 +143,9 @@ class SmfVerdict(NamedTuple):
     offending: tuple[Partition, int] | None = None
 
 
+_SMF = SmfVerdict(signed_multiplicity_free=True)
+
+
 def petrie_schur_expansion(k: int, m: int) -> SchurExpansion:
     """Schur expansion of the degree-m Petrie symmetric function G(k, m).
 
@@ -201,12 +205,12 @@ def _smf_verdict(terms: Mapping[Partition | int, int]) -> SmfVerdict:
     canonical order; no full sort is needed.  Masks order terms as the
     partitions do: at the first part where two partitions differ, the
     larger part's bead is the highest bit set in one mask and not in the
-    other.
+    other.  Every positive verdict is the one shared ``_SMF``.
     """
     values = terms.values()
     if max(values, default=0) < 2 and min(values, default=0) > -2:
-        return SmfVerdict(signed_multiplicity_free=True)
-    worst = max(lam for lam, coeff in terms.items() if abs(coeff) >= 2)
+        return _SMF
+    worst = max(lam for lam, coeff in terms.items() if coeff > 1 or coeff < -1)
     return SmfVerdict(signed_multiplicity_free=False, offending=(worst, terms[worst]))
 
 
@@ -384,22 +388,20 @@ class SweepReport(NamedTuple):
         return "\n".join(lines)
 
 
-def _sweep_pair(
-    km: tuple[int, int], n_max: int
-) -> tuple[list[NonSmfEntry], list[tuple[int, int, int]]]:
-    """The non-SMF entries and the disagreements for (k, m, n), n = 1..n_max,
-    from one set of bead-mask views of G(k, m), read off its abacus placements
+def _sweep_pair(km: tuple[int, int], n_max: int) -> tuple[list[tuple], list[tuple]]:
+    """The non-SMF entries as :class:`NonSmfEntry` field tuples and the
+    disagreements for (k, m, n), n = 1..n_max, from one set of bead-mask views
+    of G(k, m), read off its abacus placements
     (:func:`~petrie.petrie_numbers.grinberg_masks`) with no partition built,
     padded for hooks up to ``n_max`` and reused for every p_n; these are the
     only bead views shared across hook sizes.  Each product's map is keyed
     by the bead mask of ``lam_plus``, not by its parts, and each verdict is
     read straight from it, cancelled zeros and all; no expansion is built
     for it.  The largest offending mask is the first offending term in
-    canonical order (:func:`_smf_verdict`), and it is the only mask
-    decoded."""
+    canonical order (:func:`_smf_verdict`), and it is the only mask decoded."""
     k, m = km
     views, floor = grinberg_masks(k, m, n_max)
-    entries: list[NonSmfEntry] = []
+    entries: list[tuple] = []
     disagreements: list[tuple[int, int, int]] = []
     for n in range(1, n_max + 1):
         verdict = _smf_verdict(_signed_hook_masks(views, n))
@@ -413,7 +415,7 @@ def _sweep_pair(
                 disagreements.append((k, m, n))
                 continue
             mask, coeff = verdict.offending
-            entries.append(NonSmfEntry(k, m, n, _mask_partition(mask, floor), coeff, witness))
+            entries.append((k, m, n, _mask_partition(mask, floor), coeff, witness))
     return entries, disagreements
 
 
@@ -421,15 +423,15 @@ def _forked_map(task, items: list, workers: int) -> list:
     """``[task(item) for item in items]``, computed by ``workers`` workers:
     the caller is worker 0 and forks ``workers - 1`` children.
 
-    Worker i evaluates ``items[i::workers]``; a child pickles ``(True,
-    results)`` or ``(False, exception)`` to its pipe and leaves by
+    Worker i evaluates ``items[i::workers]``.  A child writes to its pipe
+    ``m`` and its results as ``marshal`` bytes, so only tuples, lists and
+    ints (a ``NamedTuple`` raises ``ValueError``), or ``p`` and its
+    exception pickled, the only use of ``pickle``, and leaves by
     ``os._exit``.  The caller runs its share after the forks, reads every
     pipe to EOF, and reaps every child before it raises any exception (its
     own or a child's) or reports a child that exited without a result
     (``ChildProcessError``), so no child outlives the call.
     """
-    import pickle  # here, not at the top: only jobs > 1 pays for importing it
-
     children: list[tuple[int, int]] = []
     try:
         for i in range(1, workers):
@@ -445,11 +447,12 @@ def _forked_map(task, items: list, workers: int) -> list:
                 try:
                     os.close(read_end)
                     try:
-                        payload = (True, [task(item) for item in items[i::workers]])
+                        blob = b"m" + marshal.dumps([task(item) for item in items[i::workers]])
                     except Exception as exc:
-                        payload = (False, exc)
+                        import pickle
+                        blob = b"p" + pickle.dumps(exc, pickle.HIGHEST_PROTOCOL)
                     with open(write_end, "wb") as stream:
-                        pickle.dump(payload, stream, pickle.HIGHEST_PROTOCOL)
+                        stream.write(blob)
                     code = 0
                 finally:
                     os._exit(code)
@@ -471,10 +474,10 @@ def _forked_map(task, items: list, workers: int) -> list:
                 f"a sweep worker exited with status {os.waitstatus_to_exitcode(status)}"
                 " without a result"
             )
-        ok, value = pickle.loads(blob)
-        if not ok:
-            raise value
-        per_worker.append(value)
+        if blob[:1] == b"p":
+            import pickle
+            raise pickle.loads(blob[1:])
+        per_worker.append(marshal.loads(blob[1:]))
     return [per_worker[j % workers][j // workers] for j in range(len(items))]
 
 
@@ -503,7 +506,7 @@ def sweep_smf(k_max: int, m_max: int, n_max: int, jobs: int = 1) -> SweepReport:
         per_pair = _forked_map(task, pairs, workers)
     else:
         per_pair = [task(km) for km in pairs]
-    non_smf = tuple(entry for entries, _ in per_pair for entry in entries)
+    non_smf = tuple(NonSmfEntry._make(entry) for entries, _ in per_pair for entry in entries)
     return SweepReport(
         k_max=k_max,
         m_max=m_max,

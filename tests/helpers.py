@@ -22,7 +22,6 @@ from petrie import (
     SchurExpansion,
     SkewShape,
     conjugate,
-    contains,
     monomial_to_schur,
     ninv,
     partitions_of,
@@ -33,7 +32,7 @@ from petrie import (
     remove_rim_hooks,
 )
 from petrie.cli import main as cli_main
-from petrie.partitions import beta_set, partition_from_beta_set
+from petrie.partitions import beta_set, contains, partition_from_beta_set
 
 
 def run_cli(argv: list[str]) -> tuple[int, str, str]:

@@ -155,6 +155,28 @@ def test_importing_the_cli_does_not_load_the_process_pool():
     assert "0 disagreements" in out.stdout
 
 
+def test_json_output_and_forked_workers_load_no_json_or_pickle():
+    # JSON is written by the CLI's own renderer with the C string quoter, and
+    # a forked worker's results come back as marshal bytes: json and pickle
+    # are imported only for a value the renderer does not know or for a
+    # worker's exception.
+    names = ("json", "pickle")
+    code = (
+        "import sys, petrie.cli; main = petrie.cli.main; "
+        "main(['multiply', '3', '5', '2', '--json']); "
+        "main(['multiply', '5', '8', '3', '--verify', '--json']); "
+        "main(['classify', '4', '8', '4', '--json']); "
+        "main(['sweep', '3', '4', '3', '--jobs', '2', '--json']); "
+        f"print([name in sys.modules for name in {names!r}])"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.splitlines()[-1] == str([False] * len(names))
+    assert '"disagreements": []' in out.stdout
+
+
 def test_a_well_formed_command_line_loads_no_argparse():
     # The verb table reads these; argparse, and the gettext and locale its
     # messages load, are imported only for help and errors.

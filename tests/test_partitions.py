@@ -23,7 +23,6 @@ from petrie import (
     add_rim_hooks,
     as_partition,
     conjugate,
-    contains,
     format_partition,
     is_rim_hook,
     parse_partition,
@@ -37,6 +36,7 @@ from petrie.partitions import (
     _mask_partition,
     _signed_hook_masks,
     _signed_rim_hooks,
+    contains,
 )
 
 

@@ -11,6 +11,7 @@ from petrie import (
     PreconditionViolated,
     SchurExpansion,
     SkewShape,
+    SmfVerdict,
     add_rim_hooks,
     classify_smf,
     is_signed_multiplicity_free,
@@ -485,6 +486,14 @@ class TestSweep:
 
         with pytest.raises(InternalInvariantFailure, match="caller share"):
             _forked_map(task, list(range(7)), 3)
+        with pytest.raises(ChildProcessError):  # every child was reaped first
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_unmarshallable_child_result_is_raised_after_every_child_is_reaped(self):
+        # a child's results go back as marshal bytes, which refuse a NamedTuple;
+        # the caller's own share is returned as built and is not the one refused
+        with pytest.raises(ValueError, match="unmarshallable"):
+            _forked_map(lambda item: SmfVerdict(True, (item,)), list(range(7)), 3)
         with pytest.raises(ChildProcessError):  # every child was reaped first
             os.waitpid(-1, os.WNOHANG)
 
